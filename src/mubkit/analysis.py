@@ -14,6 +14,12 @@ outcomes:
 Each checker returns a Verdict carrying the worst deviation it saw and,
 on failure, a witness locating it. ``classify_pair`` runs whatever applies
 and cross-checks the verdicts against the implications that provably hold.
+
+The observables are validated once, when they are built. The checkers
+then compare unvalidated products (``seq_matrix``, ``conditioned_matrices``)
+against their targets and construct no Effect or Observable; only the
+public constructors (``seq_product``, ``conditioned``, ``coarse_grain``, ...)
+validate. So ``tol`` reaches every comparison a checker makes.
 """
 from __future__ import annotations
 
@@ -23,9 +29,9 @@ from typing import Any
 import numpy as np
 
 from . import linalg
-from .effects import Effect, seq_product
+from .effects import Effect, seq_matrix
 from .errors import DimMismatch, InternalInconsistency, NotAtomic
-from .observables import Observable, PartitionMap, conditioned
+from .observables import Observable, PartitionMap, conditioned_matrices
 
 
 @dataclass(frozen=True)
@@ -74,28 +80,10 @@ def _require_pair(a: Observable, b: Observable) -> None:
         raise DimMismatch(f"dims {a.dim} and {b.dim} differ")
 
 
-def _tols(a: Observable, tol: float | None) -> tuple[float, float]:
-    """(matrix-comparison tol, eigenvalue-classification tol) for one knob."""
-    if tol is None:
-        return linalg.default_tol(a.dim), linalg.EIGENVALUE_TOL
-    return tol, tol
-
-
-def _trace_table(a: Observable, b: Observable) -> np.ndarray:
-    """Real parts of tr(A_x B_y), one row per outcome of A."""
-    return np.array([[np.trace(ax.matrix @ by.matrix).real for by in b.effects]
-                     for ax in a.effects])
-
-
-def check_mu(a: Observable, b: Observable, tol: float | None = None) -> Verdict:
-    """Mutual unbiasedness tr(A_x B_y) = 1/d. Both observables must be atomic."""
-    _require_pair(a, b)
-    mat_tol, eig_tol = _tols(a, tol)
-    for name, obs in (("first", a), ("second", b)):
-        if not obs.is_atomic(eig_tol):
-            raise NotAtomic(f"{name} observable is not atomic")
-    target = 1.0 / a.dim
-    table = _trace_table(a, b)
+def _trace_verdict(a: Observable, b: Observable, target: float, mat_tol: float) -> Verdict:
+    """Whether every tr(A_x B_y) equals ``target``; the witness is the worst pair."""
+    table = np.array([[np.trace(ax.matrix @ by.matrix).real for by in b.effects]
+                      for ax in a.effects])
     dev = np.abs(table - target)
     i, j = np.unravel_index(np.argmax(dev), dev.shape)
     witness = None
@@ -105,10 +93,20 @@ def check_mu(a: Observable, b: Observable, tol: float | None = None) -> Verdict:
     return Verdict(bool(dev[i, j] <= mat_tol), float(dev[i, j]), witness)
 
 
+def check_mu(a: Observable, b: Observable, tol: float | None = None) -> Verdict:
+    """Mutual unbiasedness tr(A_x B_y) = 1/d. Both observables must be atomic."""
+    _require_pair(a, b)
+    mat_tol, eig_tol = linalg.tols(a.dim, tol)
+    for name, obs in (("first", a), ("second", b)):
+        if not obs.is_atomic(eig_tol):
+            raise NotAtomic(f"{name} observable is not atomic")
+    return _trace_verdict(a, b, 1.0 / a.dim, mat_tol)
+
+
 def check_condition1(a: Observable, b: Observable, tol: float | None = None) -> Verdict:
     """A_x o B_y = (1/n) A_x and B_y o A_x = (1/m) B_y, entrywise."""
     _require_pair(a, b)
-    mat_tol, _ = _tols(a, tol)
+    mat_tol, _ = linalg.tols(a.dim, tol)
     m, n = len(a), len(b)
     worst = 0.0
     witness = None
@@ -116,8 +114,7 @@ def check_condition1(a: Observable, b: Observable, tol: float | None = None) -> 
         for y, by in b.items():
             for side, first, second, scale in (("A∘B", ax, by, 1.0 / n),
                                                ("B∘A", by, ax, 1.0 / m)):
-                dev = linalg.max_abs(seq_product(first, second).matrix
-                                     - scale * first.matrix)
+                dev = linalg.max_abs(seq_matrix(first, second) - scale * first.matrix)
                 if dev > worst:
                     worst = dev
                     witness = {"x": x, "y": y, "side": side, "deviation": dev}
@@ -127,14 +124,13 @@ def check_condition1(a: Observable, b: Observable, tol: float | None = None) -> 
 def check_condition2(a: Observable, b: Observable, tol: float | None = None) -> Verdict:
     """(B|A)_y = I/n and (A|B)_x = I/m, entrywise."""
     _require_pair(a, b)
-    mat_tol, _ = _tols(a, tol)
+    mat_tol, _ = linalg.tols(a.dim, tol)
     eye = np.eye(a.dim)
     worst = 0.0
     witness = None
-    for side, cond, count in (("B|A", conditioned(b, a, tol), len(b)),
-                              ("A|B", conditioned(a, b, tol), len(a))):
-        for label, eff in cond.items():
-            dev = linalg.max_abs(eff.matrix - eye / count)
+    for side, obs, given in (("B|A", b, a), ("A|B", a, b)):
+        for label, eff in zip(obs.outcomes, conditioned_matrices(obs, given)):
+            dev = linalg.max_abs(eff - eye / len(obs))
             if dev > worst:
                 worst = dev
                 witness = {"outcome": label, "side": side, "deviation": dev}
@@ -163,7 +159,7 @@ def check_value_complementary(a: Observable, b: Observable,
     with the probability it observes.
     """
     _require_pair(a, b)
-    mat_tol, eig_tol = _tols(a, tol)
+    mat_tol, eig_tol = linalg.tols(a.dim, tol)
     worst = 0.0
     worst_case = None
     found_subspace = False
@@ -208,16 +204,8 @@ def forced_alpha(a: Observable, b: Observable) -> float:
 def check_generalized_mu(a: Observable, b: Observable, tol: float | None = None) -> Verdict:
     """tr(A_x B_y) = d/(m n) for every outcome pair."""
     _require_pair(a, b)
-    mat_tol, _ = _tols(a, tol)
-    alpha = forced_alpha(a, b)
-    table = _trace_table(a, b)
-    dev = np.abs(table - alpha)
-    i, j = np.unravel_index(np.argmax(dev), dev.shape)
-    witness = None
-    if dev[i, j] > mat_tol:
-        witness = {"x": a.outcomes[i], "y": b.outcomes[j],
-                   "observed": float(table[i, j]), "target": alpha}
-    return Verdict(bool(dev[i, j] <= mat_tol), float(dev[i, j]), witness)
+    mat_tol, _ = linalg.tols(a.dim, tol)
+    return _trace_verdict(a, b, forced_alpha(a, b), mat_tol)
 
 
 def check_partition_criterion(fa: PartitionMap, fb: PartitionMap) -> PartitionCriterion:
@@ -233,7 +221,7 @@ def check_partition_criterion(fa: PartitionMap, fb: PartitionMap) -> PartitionCr
 
 def check_trivial(a: Observable, tol: float | None = None) -> bool:
     """Whether every effect is the same multiple (1/m) of the identity."""
-    mat_tol = linalg.default_tol(a.dim) if tol is None else tol
+    mat_tol, _ = linalg.tols(a.dim, tol)
     eye = np.eye(a.dim)
     scale = 1.0 / len(a)
     return all(linalg.max_abs(e.matrix - scale * eye) <= mat_tol for e in a.effects)
@@ -260,7 +248,7 @@ def classify_pair(a: Observable, b: Observable, tol: float | None = None) -> Pai
     flag instead.
     """
     _require_pair(a, b)
-    mat_tol, eig_tol = _tols(a, tol)
+    mat_tol, eig_tol = linalg.tols(a.dim, tol)
     both_atomic = a.is_atomic(eig_tol) and b.is_atomic(eig_tol)
     mu = check_mu(a, b, tol) if both_atomic else None
     vc = check_value_complementary(a, b, tol)

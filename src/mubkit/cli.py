@@ -72,6 +72,9 @@ def observable_from_json(obj, tol: float | None = None) -> Observable:
     missing = {"dim", "outcomes", "effects"} - set(obj)
     if missing:
         raise ParseError(f"observable file is missing field(s) {sorted(missing)}")
+    for field in ("outcomes", "effects"):
+        if not isinstance(obj[field], list):
+            raise ParseError(f"observable field {field!r} must be a list")
     matrices = [matrix_from_json(rows) for rows in obj["effects"]]
     return observable_new(obj["dim"], obj["outcomes"], matrices, tol)
 

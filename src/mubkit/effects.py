@@ -19,9 +19,8 @@ class Effect:
 
     def __init__(self, matrix, tol: float | None = None):
         m = linalg.as_matrix(matrix)
-        herm_tol = linalg.default_tol(m.shape[0]) if tol is None else tol
-        eig_tol = linalg.EIGENVALUE_TOL if tol is None else tol
-        spectral = linalg.hermitian_eig(m, herm_tol)
+        mat_tol, eig_tol = linalg.tols(m.shape[0], tol)
+        spectral = linalg.hermitian_eig(m, mat_tol)
         w = spectral.eigenvalues
         if w[0] < -eig_tol or w[-1] > 1.0 + eig_tol:
             bad = w[0] if w[0] < -eig_tol else w[-1]
@@ -63,28 +62,24 @@ class Effect:
 
     def is_sharp(self, tol: float | None = None) -> bool:
         """True when every eigenvalue sits at 0 or 1 within ``tol``."""
-        if tol is None:
-            tol = linalg.EIGENVALUE_TOL
+        _, tol = linalg.tols(self.dim, tol)
         w = self._spectral.eigenvalues
         return bool(np.all((np.abs(w) <= tol) | (np.abs(w - 1.0) <= tol)))
 
     def is_atomic(self, tol: float | None = None) -> bool:
         """True for rank-one projections: sharp with exactly one unit eigenvalue."""
-        if tol is None:
-            tol = linalg.EIGENVALUE_TOL
+        _, tol = linalg.tols(self.dim, tol)
         w = self._spectral.eigenvalues
         return self.is_sharp(tol) and int(np.sum(np.abs(w - 1.0) <= tol)) == 1
 
     def is_invertible(self, tol: float | None = None) -> bool:
         """True when every eigenvalue is at least ``tol``."""
-        if tol is None:
-            tol = linalg.EIGENVALUE_TOL
+        _, tol = linalg.tols(self.dim, tol)
         return bool(self._spectral.eigenvalues[0] >= tol)
 
     def unit_eigenspace(self, tol: float | None = None) -> np.ndarray:
         """Orthonormal basis (d x k, possibly k = 0) of the eigenvalue-1 eigenspace."""
-        if tol is None:
-            tol = linalg.EIGENVALUE_TOL
+        _, tol = linalg.tols(self.dim, tol)
         w, v = self._spectral
         return v[:, np.abs(w - 1.0) <= tol]
 
@@ -101,25 +96,33 @@ def complement(a: Effect) -> Effect:
     return a.complement()
 
 
-def seq_product(a: Effect, b: Effect, tol: float | None = None) -> Effect:
-    """Sequential product sqrt(A) B sqrt(A), validated as an effect.
+def seq_matrix(a: Effect, b: Effect) -> np.ndarray:
+    """The matrix sqrt(A) B sqrt(A), symmetrized to shed roundoff asymmetry.
 
-    Not commutative and not associative in general; the result is
-    symmetrized before validation to shed roundoff asymmetry.
+    Not validated: the sequential product of two effects is an effect, so
+    predicates compare this matrix directly and only ``seq_product``
+    validates it.
     """
     if a.dim != b.dim:
         raise DimMismatch(f"dims {a.dim} and {b.dim} differ")
     r = a.sqrt() @ b.matrix @ a.sqrt()
-    return Effect((r + r.conj().T) / 2.0, tol)
+    return (r + r.conj().T) / 2.0
+
+
+def seq_product(a: Effect, b: Effect, tol: float | None = None) -> Effect:
+    """Sequential product sqrt(A) B sqrt(A), validated as an effect.
+
+    Not commutative and not associative in general.
+    """
+    return Effect(seq_matrix(a, b), tol)
 
 
 def commutes(a: Effect, b: Effect, tol: float | None = None) -> bool:
     """Whether AB = BA within ``tol`` (entrywise)."""
     if a.dim != b.dim:
         raise DimMismatch(f"dims {a.dim} and {b.dim} differ")
-    if tol is None:
-        tol = linalg.default_tol(a.dim)
-    return linalg.max_abs(a.matrix @ b.matrix - b.matrix @ a.matrix) <= tol
+    mat_tol, _ = linalg.tols(a.dim, tol)
+    return linalg.max_abs(a.matrix @ b.matrix - b.matrix @ a.matrix) <= mat_tol
 
 
 class State:
@@ -129,14 +132,13 @@ class State:
 
     def __init__(self, matrix, tol: float | None = None):
         m = linalg.as_matrix(matrix)
-        herm_tol = linalg.default_tol(m.shape[0]) if tol is None else tol
-        eig_tol = linalg.EIGENVALUE_TOL if tol is None else tol
-        spectral = linalg.hermitian_eig(m, herm_tol)
+        mat_tol, eig_tol = linalg.tols(m.shape[0], tol)
+        spectral = linalg.hermitian_eig(m, mat_tol)
         if spectral.eigenvalues[0] < -eig_tol:
             raise NotPositive(f"state eigenvalue {spectral.eigenvalues[0]:.3e} below -{eig_tol:.3e}")
         tr = linalg.trace(m)
-        if abs(tr - 1.0) > herm_tol:
-            raise ValueError(f"state trace {tr} is not 1 within {herm_tol:.3e}")
+        if abs(tr - 1.0) > mat_tol:
+            raise ValueError(f"state trace {tr} is not 1 within {mat_tol:.3e}")
         self.matrix = m
         self._spectral = spectral
 
@@ -162,12 +164,11 @@ def occurrence_probability(rho: State, a: Effect, tol: float | None = None) -> f
     """tr(rho A): probability of the effect in the state, clamped to [0, 1]."""
     if rho.dim != a.dim:
         raise DimMismatch(f"dims {rho.dim} and {a.dim} differ")
-    if tol is None:
-        tol = linalg.default_tol(a.dim)
+    mat_tol, _ = linalg.tols(a.dim, tol)
     raw = linalg.trace(rho.matrix @ a.matrix)
-    if abs(raw.imag) > tol:
+    if abs(raw.imag) > mat_tol:
         raise ValueError(f"probability has imaginary part {raw.imag:.3e}")
     p = raw.real
-    if p < -tol or p > 1.0 + tol:
-        raise ValueError(f"probability {p!r} outside [0, 1] by more than {tol:.3e}")
+    if p < -mat_tol or p > 1.0 + mat_tol:
+        raise ValueError(f"probability {p!r} outside [0, 1] by more than {mat_tol:.3e}")
     return float(min(max(p, 0.0), 1.0))

@@ -9,6 +9,10 @@ class DimMismatch(MubkitError):
     """Operands have incompatible dimensions."""
 
 
+class NonFinite(MubkitError, ValueError):
+    """Matrix has a NaN or infinite entry."""
+
+
 class NotHermitian(MubkitError):
     """Matrix is not Hermitian within tolerance."""
 

@@ -10,7 +10,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimMismatch, NotHermitian, NotPositive
+from .errors import DimMismatch, NonFinite, NotHermitian
 
 #: Tolerance used when classifying individual eigenvalues (zero? one?).
 EIGENVALUE_TOL = 1e-9
@@ -25,6 +25,17 @@ def default_tol(dim: int) -> float:
     return 1e-9 * dim
 
 
+def tols(dim: int, tol: float | None) -> tuple[float, float]:
+    """(matrix-comparison tol, eigenvalue-classification tol) for one ``tol`` knob.
+
+    ``None`` gives ``default_tol(dim)`` and ``EIGENVALUE_TOL``; a number
+    sets both, so a user's tolerance reaches every comparison it governs.
+    """
+    if tol is None:
+        return default_tol(dim), EIGENVALUE_TOL
+    return tol, tol
+
+
 def freeze(m: np.ndarray) -> np.ndarray:
     """Make an array read-only in place and return it."""
     m.setflags(write=False)
@@ -37,45 +48,8 @@ def as_matrix(entries) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise DimMismatch(f"expected a nonempty square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-        raise ValueError("matrix entries must be finite")
+        raise NonFinite("matrix entries must be finite")
     return freeze(m)
-
-
-def identity(dim: int) -> np.ndarray:
-    return freeze(np.eye(dim, dtype=complex))
-
-
-def zeros(dim: int) -> np.ndarray:
-    return freeze(np.zeros((dim, dim), dtype=complex))
-
-
-def _same_dim(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise DimMismatch(f"shapes {a.shape} and {b.shape} differ")
-
-
-def adjoint(m: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return freeze(m.conj().T.copy())
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    _same_dim(a, b)
-    return freeze(a @ b)
-
-
-def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    _same_dim(a, b)
-    return freeze(a + b)
-
-
-def sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    _same_dim(a, b)
-    return freeze(a - b)
-
-
-def scale(c: complex, m: np.ndarray) -> np.ndarray:
-    return freeze(c * m)
 
 
 def trace(m: np.ndarray) -> complex:
@@ -89,20 +63,6 @@ def max_abs(m: np.ndarray) -> float:
 
 def hermiticity_defect(m: np.ndarray) -> float:
     return max_abs(m - m.conj().T)
-
-
-def is_hermitian(m: np.ndarray, tol: float | None = None) -> bool:
-    if tol is None:
-        tol = default_tol(m.shape[0])
-    return hermiticity_defect(m) <= tol
-
-
-def mat_approx_eq(a: np.ndarray, b: np.ndarray, tol: float | None = None) -> bool:
-    """Entrywise equality within ``tol`` (default ``1e-9 * dim``)."""
-    _same_dim(a, b)
-    if tol is None:
-        tol = default_tol(a.shape[0])
-    return max_abs(a - b) <= tol
 
 
 class SpectralDecomposition(NamedTuple):
@@ -137,26 +97,8 @@ def hermitian_eig(m: np.ndarray, tol: float | None = None) -> SpectralDecomposit
         If the asymmetry exceeds ``tol``; the message carries the defect.
     """
     defect = hermiticity_defect(m)
-    if tol is None:
-        tol = default_tol(m.shape[0])
+    tol, _ = tols(m.shape[0], tol)
     if defect > tol:
         raise NotHermitian(f"max asymmetry {defect:.3e} exceeds tol {tol:.3e}")
     w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
     return SpectralDecomposition(freeze(w), freeze(v))
-
-
-def psd_sqrt(m: np.ndarray, tol: float | None = None) -> np.ndarray:
-    """Unique positive semidefinite square root of a PSD matrix.
-
-    Eigenvalues in ``[-tol, 0)`` are clamped to zero; anything lower raises
-    ``NotPositive`` with the offending eigenvalue in the message.
-    """
-    eig_tol = EIGENVALUE_TOL if tol is None else tol
-    w, v = hermitian_eig(m, tol)
-    if w[0] < -eig_tol:
-        raise NotPositive(f"eigenvalue {w[0]:.3e} below -{eig_tol:.3e}")
-    # Snap sub-tolerance eigenvalues to zero before the root: sqrt() turns
-    # harmless 1e-17 solver noise into 3e-9 contamination otherwise.
-    w = np.where(w < eig_tol, 0.0, w)
-    r = (v * np.sqrt(w)) @ v.conj().T
-    return freeze((r + r.conj().T) / 2.0)

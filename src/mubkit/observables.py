@@ -1,9 +1,14 @@
 """Finite-outcome observables and the operations that combine them.
 
 An observable is a labelled family of effects summing to the identity.
-Derived constructions (products, conditioning, coarse-graining) re-validate
-their result with a 10x looser sum tolerance, since each entry accumulates
-roundoff from up to m*n sequential products.
+Only the public constructors validate: ``Observable`` itself and the
+derived constructions (``obs_seq_product``, ``conditioned``,
+``coarse_grain``, ``conjugate``). Products, conditioning and
+coarse-graining validate with a 10x looser tolerance, since each entry
+accumulates roundoff from up to m*n sequential products. Predicates
+compare unvalidated products instead (``effects.seq_matrix`` and
+``conditioned_matrices``): products and sums of valid effects need no
+second check.
 """
 from __future__ import annotations
 
@@ -13,7 +18,7 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import linalg
-from .effects import Effect, State, occurrence_probability, seq_product
+from .effects import Effect, State, occurrence_probability, seq_matrix, seq_product
 from .errors import (
     DimMismatch,
     DuplicateLabel,
@@ -31,8 +36,7 @@ class Observable:
 
     __slots__ = ("outcomes", "effects", "dim")
 
-    def __init__(self, outcomes: Sequence[str], effects, tol: float | None = None,
-                 sum_tol: float | None = None):
+    def __init__(self, outcomes: Sequence[str], effects, tol: float | None = None):
         labels = tuple(str(x) for x in outcomes)
         if len(set(labels)) != len(labels):
             seen = [x for i, x in enumerate(labels) if x in labels[:i]]
@@ -54,14 +58,13 @@ class Observable:
         if len(dims) != 1:
             raise DimMismatch(f"effects have mixed dimensions {sorted(dims)}")
         dim = dims.pop()
-        if sum_tol is None:
-            sum_tol = tol if tol is not None else linalg.default_tol(dim)
+        mat_tol, _ = linalg.tols(dim, tol)
         total = np.zeros((dim, dim), dtype=complex)
         for e in validated:
             total = total + e.matrix
         defect = linalg.max_abs(total - np.eye(dim))
-        if defect > sum_tol:
-            raise SumNotIdentity(f"effects sum misses identity by {defect:.3e} (tol {sum_tol:.3e})")
+        if defect > mat_tol:
+            raise SumNotIdentity(f"effects sum misses identity by {defect:.3e} (tol {mat_tol:.3e})")
         self.outcomes = labels
         self.effects = tuple(validated)
         self.dim = dim
@@ -129,30 +132,31 @@ def obs_seq_product(a: Observable, b: Observable, tol: float | None = None) -> O
     Outcomes run in lexicographic input order: all of A's first outcome
     paired with each of B's outcomes, and so on.
     """
-    if a.dim != b.dim:
-        raise DimMismatch(f"dims {a.dim} and {b.dim} differ")
-    base = tol if tol is not None else linalg.default_tol(a.dim)
+    base, _ = linalg.tols(a.dim, tol)
     labels = []
     prods = []
     for x, ax in a.items():
         for y, by in b.items():
             labels.append(f"{x}{PRODUCT_SEP}{y}")
             prods.append(seq_product(ax, by, tol))
-    return Observable(labels, prods, tol, sum_tol=10 * base)
+    return Observable(labels, prods, 10 * base)
 
 
-def conditioned(b: Observable, a: Observable, tol: float | None = None) -> Observable:
-    """The observable (B|A): effect y is sum_x A_x o B_y."""
-    if a.dim != b.dim:
-        raise DimMismatch(f"dims {a.dim} and {b.dim} differ")
-    base = tol if tol is not None else linalg.default_tol(a.dim)
+def conditioned_matrices(b: Observable, a: Observable) -> list[np.ndarray]:
+    """Effect matrices of (B|A), symmetrized but not validated: y gives sum_x A_x o B_y."""
     effs = []
     for by in b.effects:
         total = np.zeros((a.dim, a.dim), dtype=complex)
         for ax in a.effects:
-            total = total + seq_product(ax, by, tol).matrix
+            total = total + seq_matrix(ax, by)
         effs.append((total + total.conj().T) / 2.0)
-    return Observable(b.outcomes, effs, 10 * base, sum_tol=10 * base)
+    return effs
+
+
+def conditioned(b: Observable, a: Observable, tol: float | None = None) -> Observable:
+    """The observable (B|A), validated once."""
+    base, _ = linalg.tols(a.dim, tol)
+    return Observable(b.outcomes, conditioned_matrices(b, a), 10 * base)
 
 
 @dataclass(frozen=True)
@@ -194,14 +198,14 @@ def coarse_grain(a: Observable, f: PartitionMap, tol: float | None = None) -> Ob
     """Merge outcomes of ``a`` along the fibers of ``f``."""
     if set(f.source_outcomes) != set(a.outcomes):
         raise LabelMismatch("partition source must equal the observable's outcomes")
-    base = tol if tol is not None else linalg.default_tol(a.dim)
+    base, _ = linalg.tols(a.dim, tol)
     effs = []
     for y, fiber in f.fibers().items():
         total = np.zeros((a.dim, a.dim), dtype=complex)
         for x in fiber:
             total = total + a.effect(x).matrix
         effs.append(total)
-    return Observable(f.target_outcomes, effs, 10 * base, sum_tol=10 * base)
+    return Observable(f.target_outcomes, effs, 10 * base)
 
 
 class CoexistenceWitness(NamedTuple):

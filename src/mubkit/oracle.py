@@ -140,8 +140,7 @@ def mc_value_complementarity(a: Observable, b: Observable, samples: int, seed: S
         raise DimMismatch(f"dims {a.dim} and {b.dim} differ")
     if samples < 1:
         raise InvalidParams(f"samples must be positive, got {samples!r}")
-    mat_tol = linalg.default_tol(a.dim) if tol is None else tol
-    eig_tol = linalg.EIGENVALUE_TOL if tol is None else tol
+    mat_tol, eig_tol = linalg.tols(a.dim, tol)
     rng = _rng(seed)
 
     max_dev = 0.0

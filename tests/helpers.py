@@ -1,4 +1,4 @@
-"""Pair generators shared by the randomized suites."""
+"""Pair generators shared by the randomized suites, and a matrix comparison."""
 import numpy as np
 
 from mubkit import (
@@ -6,10 +6,19 @@ from mubkit import (
     PartitionMap,
     coarse_grain,
     conjugate,
+    linalg,
     momentum_observable,
     position_observable,
     random_unitary,
 )
+
+
+def mat_approx_eq(a, b, tol=None):
+    """Entrywise equality within ``tol`` (default ``linalg.default_tol(dim)``)."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape
+    mat_tol, _ = linalg.tols(a.shape[0], tol)
+    return linalg.max_abs(a - b) <= mat_tol
 
 
 def rng_for(seed):

@@ -359,6 +359,31 @@ class TestClassifyPair:
             classify_pair(position_observable(2), position_observable(3))
 
 
+class TestUserTolerance:
+    """A tol= that accepts the inputs reaches every comparison in the checkers."""
+
+    @staticmethod
+    def edge_observable():
+        # eigenvalue 1 + 5e-7: rejected at the default tolerance, accepted at 1e-6
+        return Observable(["0", "1"], [np.diag([1 + 5e-7, 0.0]).astype(complex),
+                                       np.diag([-5e-7, 1.0]).astype(complex)], tol=1e-6)
+
+    def test_conditions_give_verdicts(self):
+        a = self.edge_observable()
+        for check in (check_condition1, check_condition2):
+            verdict = check(a, a, tol=1e-6)
+            assert not verdict.holds
+            assert verdict.max_deviation == pytest.approx(0.5, abs=1e-5)
+
+    def test_classify_pair_gives_report(self):
+        a = self.edge_observable()
+        rep = classify_pair(a, a, tol=1e-6)
+        assert rep.condition1 == check_condition1(a, a, tol=1e-6)
+        assert rep.condition2 == check_condition2(a, a, tol=1e-6)
+        assert not rep.mu.holds and not rep.generalized_mu.holds
+        assert rep.flags == ()
+
+
 class TestReconcile:
     def test_close_miss_flags_marginal(self):
         flags = []

@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import mubkit
 from mubkit.analysis import classify_pair
 from mubkit.cli import (
     main,
@@ -140,6 +142,24 @@ class TestCheck:
         code, _, err = run(["check", "all", str(bad), str(files / "q4.json")], capsys)
         assert code == 2 and "not an observable file" in err
 
+    @pytest.mark.parametrize("path, value", [
+        (["outcomes"], 5),
+        (["effects"], 7),
+        (["effects", 0, 0, 0], [float("nan"), 0.0]),
+    ], ids=["outcomes-not-list", "effects-not-list", "nan-entry"])
+    def test_malformed_fields_are_input_errors(self, files, capsys, path, value):
+        doc = json.loads((files / "q4.json").read_text())
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        bad = files / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run(["check", "all", str(files / "q4.json"), str(bad)], capsys)
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
     def test_report_round_trip_is_lossless(self):
         q_half, _, p_half = example_partitions()
         rep = classify_pair(q_half, p_half)
@@ -225,7 +245,11 @@ class TestPaperSuite:
 
 
 def test_module_entry_point(tmp_path):
+    # cwd moves away from the repo, so a relative PYTHONPATH would not resolve
+    root = os.path.dirname(os.path.dirname(os.path.abspath(mubkit.__file__)))
+    path = [root, os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     proc = subprocess.run([sys.executable, "-m", "mubkit", "construct", "fourier", "2"],
-                          capture_output=True, text=True, cwd=tmp_path)
+                          capture_output=True, text=True, cwd=tmp_path, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["dim"] == 2

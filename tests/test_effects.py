@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import mat_approx_eq
 from mubkit import linalg
 from mubkit.effects import (
     Effect,
@@ -95,11 +96,11 @@ class TestComplement:
 
     def test_parity_pair(self):
         comp = complement(effect_new(P_PARITY_0))
-        assert linalg.mat_approx_eq(comp.matrix, P_PARITY_1, tol=1e-15)
+        assert mat_approx_eq(comp.matrix, P_PARITY_1, tol=1e-15)
 
     def test_uniform(self):
         comp = complement(effect_new(np.eye(2, dtype=complex) / 2.0))
-        assert linalg.mat_approx_eq(comp.matrix, np.eye(2) / 2.0, tol=1e-15)
+        assert mat_approx_eq(comp.matrix, np.eye(2) / 2.0, tol=1e-15)
 
     def test_double_complement_is_same_object(self):
         e = effect_new(np.diag([0.3, 1e-18]).astype(complex))
@@ -110,14 +111,14 @@ class TestComplement:
 class TestSeqProduct:
     def test_position_momentum_dim2(self):
         got = seq_product(effect_new(Q0_DIM2), effect_new(P0_DIM2))
-        assert linalg.mat_approx_eq(got.matrix, Q0_DIM2 / 2.0, tol=1e-14)
+        assert mat_approx_eq(got.matrix, Q0_DIM2 / 2.0, tol=1e-14)
 
     def test_identity_neutral_both_sides(self):
         rng = np.random.default_rng(2)
         b = random_effect(4, rng)
         eye = effect_new(np.eye(4, dtype=complex))
-        assert linalg.mat_approx_eq(seq_product(eye, b).matrix, b.matrix, tol=1e-13)
-        assert linalg.mat_approx_eq(seq_product(b, eye).matrix, b.matrix, tol=1e-13)
+        assert mat_approx_eq(seq_product(eye, b).matrix, b.matrix, tol=1e-13)
+        assert mat_approx_eq(seq_product(b, eye).matrix, b.matrix, tol=1e-13)
 
     def test_zero_absorbs(self):
         zero = effect_new(np.zeros((3, 3), dtype=complex))
@@ -127,7 +128,7 @@ class TestSeqProduct:
 
     def test_mixed_block_product_fixture(self):
         got = seq_product(effect_new(Q_HALF_0), effect_new(P_HALF_0))
-        assert linalg.mat_approx_eq(got.matrix, MIXED_PRODUCT, tol=1e-12)
+        assert mat_approx_eq(got.matrix, MIXED_PRODUCT, tol=1e-12)
 
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
@@ -182,7 +183,7 @@ class TestCommutes:
         diag = effect_new(np.diag(rng.uniform(0, 1, 4)).astype(complex))
         diag2 = effect_new(np.diag(rng.uniform(0, 1, 4)).astype(complex))
         assert commutes(diag, diag2)
-        assert linalg.mat_approx_eq(seq_product(diag, diag2).matrix,
+        assert mat_approx_eq(seq_product(diag, diag2).matrix,
                                     seq_product(diag2, diag).matrix, tol=1e-13)
         a, b = random_effect(4, rng), random_effect(4, rng)
         if not commutes(a, b):
@@ -222,7 +223,7 @@ class TestPredicates:
         basis = effect_new(Q_HALF_0).unit_eigenspace()
         assert basis.shape == (4, 2)
         span = basis @ basis.conj().T
-        assert linalg.mat_approx_eq(span, Q_HALF_0, tol=1e-12)
+        assert mat_approx_eq(span, Q_HALF_0, tol=1e-12)
         assert effect_new(np.eye(4, dtype=complex) / 2.0).unit_eigenspace().shape == (4, 0)
 
 
@@ -240,7 +241,7 @@ class TestState:
 
     def test_pure_normalizes(self):
         s = State.pure([2.0, 0.0])
-        assert linalg.mat_approx_eq(s.matrix, Q0_DIM2, tol=1e-15)
+        assert mat_approx_eq(s.matrix, Q0_DIM2, tol=1e-15)
 
 
 class TestOccurrenceProbability:

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import mat_approx_eq
 from mubkit import linalg
 from mubkit.effects import Effect, State
 from mubkit.errors import (
@@ -129,7 +130,7 @@ class TestSeqProductObservable:
         q1 = np.diag([0.0, 1.0]).astype(complex)
         for label, expected in (("0⊗0", q0 / 2), ("0⊗1", q0 / 2),
                                 ("1⊗0", q1 / 2), ("1⊗1", q1 / 2)):
-            assert linalg.mat_approx_eq(joint.effect(label).matrix, expected, tol=1e-12)
+            assert mat_approx_eq(joint.effect(label).matrix, expected, tol=1e-12)
 
     def test_first_marginal_recovers_left_factor(self):
         rng = np.random.default_rng(5)
@@ -150,9 +151,9 @@ class TestConditioned:
         for dim in (2, 4):
             q, p = position_observable(dim), momentum_observable(dim)
             for eff in conditioned(p, q).effects:
-                assert linalg.mat_approx_eq(eff.matrix, np.eye(dim) / dim, tol=1e-12)
+                assert mat_approx_eq(eff.matrix, np.eye(dim) / dim, tol=1e-12)
             for eff in conditioned(q, p).effects:
-                assert linalg.mat_approx_eq(eff.matrix, np.eye(dim) / dim, tol=1e-12)
+                assert mat_approx_eq(eff.matrix, np.eye(dim) / dim, tol=1e-12)
 
     def test_trivial_condition_leaves_observable_alone(self):
         rng = np.random.default_rng(7)
@@ -173,7 +174,7 @@ class TestConditioned:
         q_half, _, p_half = example_partitions()
         cond = conditioned(p_half, q_half)
         assert cond.outcomes == p_half.outcomes
-        assert linalg.mat_approx_eq(cond.effects[0].matrix, COND_HALF_0, tol=1e-12)
+        assert mat_approx_eq(cond.effects[0].matrix, COND_HALF_0, tol=1e-12)
 
     def test_conditioning_can_break_sharpness(self):
         q_half, _, p_half = example_partitions()
@@ -213,9 +214,9 @@ class TestCoarseGrain:
         q = position_observable(4)
         pm = PartitionMap(q.outcomes, ("0", "1"), {"0": "0", "1": "0", "2": "1", "3": "1"})
         merged = coarse_grain(q, pm)
-        assert linalg.mat_approx_eq(merged.effects[0].matrix,
+        assert mat_approx_eq(merged.effects[0].matrix,
                                     np.diag([1.0, 1.0, 0.0, 0.0]), tol=1e-15)
-        assert linalg.mat_approx_eq(merged.effects[1].matrix,
+        assert mat_approx_eq(merged.effects[1].matrix,
                                     np.diag([0.0, 0.0, 1.0, 1.0]), tol=1e-15)
 
     def test_identity_partition(self):
@@ -229,7 +230,7 @@ class TestCoarseGrain:
         p = momentum_observable(3)
         pm = PartitionMap(p.outcomes, ("all",), {x: "all" for x in p.outcomes})
         merged = coarse_grain(p, pm)
-        assert linalg.mat_approx_eq(merged.effects[0].matrix, np.eye(3), tol=1e-12)
+        assert mat_approx_eq(merged.effects[0].matrix, np.eye(3), tol=1e-12)
 
     def test_source_must_match(self):
         q = position_observable(3)
