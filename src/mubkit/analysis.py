@@ -16,10 +16,33 @@ on failure, a witness locating it. ``classify_pair`` runs whatever applies
 and cross-checks the verdicts against the implications that provably hold.
 
 The observables are validated once, when they are built. The checkers
-then compare unvalidated products (``seq_matrix``, ``conditioned_matrices``)
-against their targets and construct no Effect or Observable; only the
-public constructors (``seq_product``, ``conditioned``, ``coarse_grain``, ...)
-validate. So ``tol`` reaches every comparison a checker makes.
+then compare unvalidated products against their targets and construct no
+Effect or Observable; only the public constructors (``seq_product``,
+``conditioned``, ``coarse_grain``, ...) validate. So ``tol`` reaches every
+comparison a checker makes.
+
+The checkers are array programs over each observable's (m, d, d) stack,
+worked one outcome at a time so that extra memory stays O((m + n) d^2);
+the (m, n, d, d) array of all products is never built. The path follows
+the rank r of each effect's square-root factor (``Effect.factor``), which
+the code reads off the cached spectrum:
+
+* r = 1 (atomic effects, such as position and momentum): A_x o B_y is
+  c_xy v v*, so every product is one number, c_xy = w v* B_y v, and all of
+  them come from one stacked product per observable, O(n d^2) per x.
+  Condition (1) then needs two d x d comparisons per x (the deviation is
+  convex in c_xy), (B|A)_y is one (V diag(c_y)) V* per y, and value
+  complementarity on a one-dimensional certainty subspace is
+  |u* B_y u - 1/n| max|u|^2. An atomic pair costs O(d^4), not O(d^5).
+* r > 1 (sharp blocks, unsharp effects): the products A_x o B_y are
+  lifted to d x d as sqrt(A_x) B_y sqrt(A_x), stacked over y (2d^3
+  multiply-adds per pair), and compared entrywise.
+* the trace table behind ``check_mu`` and ``check_generalized_mu`` is one
+  real (m, 2d^2) x (2d^2, n) product of the flattened stacks.
+
+Products are plain ``@``. Splitting the trace-table product into calls
+small enough for OpenBLAS to run on one thread was measured and gave no
+gain, at d = 32 or d = 64.
 """
 from __future__ import annotations
 
@@ -29,9 +52,9 @@ from typing import Any
 import numpy as np
 
 from . import linalg
-from .effects import Effect, seq_matrix
+from .effects import seq_matrices
 from .errors import DimMismatch, InternalInconsistency, NotAtomic
-from .observables import Observable, PartitionMap, conditioned_matrices
+from .observables import Observable, PartitionMap, conditioned_matrices, rank_one_products
 
 
 @dataclass(frozen=True)
@@ -80,10 +103,20 @@ def _require_pair(a: Observable, b: Observable) -> None:
         raise DimMismatch(f"dims {a.dim} and {b.dim} differ")
 
 
+def _trace_table(a: Observable, b: Observable) -> np.ndarray:
+    """tr(A_x B_y), real part, as one (m, 2d^2) x (2d^2, n) real product.
+
+    Re tr(A B) = sum_ij Re(A_ij conj(B*_ij)), so each effect is flattened
+    to its interleaved real and imaginary parts, B's conjugate-transposed.
+    """
+    left = a.stack().view(float).reshape(len(a), -1)
+    right = np.ascontiguousarray(b.stack().conj().transpose(0, 2, 1))
+    return left @ right.view(float).reshape(len(b), -1).T
+
+
 def _trace_verdict(a: Observable, b: Observable, target: float, mat_tol: float) -> Verdict:
     """Whether every tr(A_x B_y) equals ``target``; the witness is the worst pair."""
-    table = np.array([[np.trace(ax.matrix @ by.matrix).real for by in b.effects]
-                      for ax in a.effects])
+    table = _trace_table(a, b)
     dev = np.abs(table - target)
     i, j = np.unravel_index(np.argmax(dev), dev.shape)
     witness = None
@@ -103,21 +136,54 @@ def check_mu(a: Observable, b: Observable, tol: float | None = None) -> Verdict:
     return _trace_verdict(a, b, 1.0 / a.dim, mat_tol)
 
 
+def _product_deviations(first: Observable, second: Observable) -> tuple[np.ndarray, np.ndarray]:
+    """Worst max_abs(F_x o S_y - F_x / n) over y for each x, and the y attaining it.
+
+    For rank-one F_x the product is c_y v v* and the target is fixed, so
+    the deviation is a convex function of the real number c_y: its maximum
+    over y sits at the smallest or the largest c_y, and two d x d
+    comparisons per x replace n. Other effects compare ``seq_matrices``
+    stacked over y.
+    """
+    scale = 1.0 / len(second)
+    worst = np.zeros(len(first))
+    where = np.zeros(len(first), dtype=int)
+    ones = rank_one_products(first, second.stack())
+    if ones.index:
+        idx = list(ones.index)
+        v = ones.vectors.T
+        projections = v[:, :, None] * v.conj()[:, None, :]
+        targets = scale * first.stack()[idx]
+        cols = np.arange(len(idx))
+        lo, hi = ones.coeffs.argmin(axis=0), ones.coeffs.argmax(axis=0)
+        dev_lo, dev_hi = (linalg.max_abs_each(ones.coeffs[ys, cols, None, None] * projections - targets)
+                          for ys in (lo, hi))
+        worst[idx] = np.maximum(dev_lo, dev_hi)
+        where[idx] = np.where(dev_hi > dev_lo, hi, lo)
+    rest = [x for x in range(len(first)) if x not in ones.index]
+    if rest:
+        stack = linalg.hermitian_part(second.stack())
+        for x in rest:
+            fx = first.effects[x]
+            devs = linalg.max_abs_each(seq_matrices(fx, stack) - scale * fx.matrix)
+            where[x] = int(np.argmax(devs))
+            worst[x] = devs[where[x]]
+    return worst, where
+
+
 def check_condition1(a: Observable, b: Observable, tol: float | None = None) -> Verdict:
     """A_x o B_y = (1/n) A_x and B_y o A_x = (1/m) B_y, entrywise."""
     _require_pair(a, b)
     mat_tol, _ = linalg.tols(a.dim, tol)
-    m, n = len(a), len(b)
-    worst = 0.0
-    witness = None
-    for x, ax in a.items():
-        for y, by in b.items():
-            for side, first, second, scale in (("A∘B", ax, by, 1.0 / n),
-                                               ("B∘A", by, ax, 1.0 / m)):
-                dev = linalg.max_abs(seq_matrix(first, second) - scale * first.matrix)
-                if dev > worst:
-                    worst = dev
-                    witness = {"x": x, "y": y, "side": side, "deviation": dev}
+    dev_ab, y_of = _product_deviations(a, b)
+    dev_ba, x_of = _product_deviations(b, a)
+    i, j = int(np.argmax(dev_ab)), int(np.argmax(dev_ba))
+    if dev_ab[i] >= dev_ba[j]:
+        worst = float(dev_ab[i])
+        witness = {"x": a.outcomes[i], "y": b.outcomes[y_of[i]], "side": "A∘B", "deviation": worst}
+    else:
+        worst = float(dev_ba[j])
+        witness = {"x": a.outcomes[x_of[j]], "y": b.outcomes[j], "side": "B∘A", "deviation": worst}
     return Verdict(worst <= mat_tol, worst, witness if worst > mat_tol else None)
 
 
@@ -129,17 +195,34 @@ def check_condition2(a: Observable, b: Observable, tol: float | None = None) -> 
     worst = 0.0
     witness = None
     for side, obs, given in (("B|A", b, a), ("A|B", a, b)):
-        for label, eff in zip(obs.outcomes, conditioned_matrices(obs, given)):
-            dev = linalg.max_abs(eff - eye / len(obs))
-            if dev > worst:
-                worst = dev
-                witness = {"outcome": label, "side": side, "deviation": dev}
+        devs = linalg.max_abs_each(conditioned_matrices(obs, given) - eye / len(obs))
+        k = int(np.argmax(devs))
+        if devs[k] > worst:
+            worst = float(devs[k])
+            witness = {"outcome": obs.outcomes[k], "side": side, "deviation": worst}
     return Verdict(worst <= mat_tol, worst, witness if worst > mat_tol else None)
 
 
-def _certainty_basis(e: Effect, eig_tol: float) -> np.ndarray | None:
-    v = e.unit_eigenspace(eig_tol)
-    return v if v.shape[1] else None
+def _certainty_deviations(bases: list[np.ndarray], stack: np.ndarray,
+                          target: float) -> list[np.ndarray]:
+    """For each certainty basis U (d x k): max_abs(P S_y P - target P) over y, P = U U*.
+
+    With k = 1 the matrix is (u* S_y u - target) u u*, whose entrywise
+    max is |u* S_y u - target| max_i |u_i|^2; all such subspaces are done
+    at once. Larger subspaces compress S_y to k x k and lift back.
+    """
+    devs: list[np.ndarray] = [np.empty(0)] * len(bases)
+    lines = [i for i, u in enumerate(bases) if u.shape[1] == 1]
+    if lines:
+        u = np.concatenate([bases[i] for i in lines], axis=1)
+        table = np.abs(linalg.quadratic_forms(u, stack) - target) * np.max(np.abs(u), axis=0) ** 2
+        for col, i in enumerate(lines):
+            devs[i] = table[:, col]
+    for i, u in enumerate(bases):
+        if u.shape[1] > 1:
+            core = u.conj().T @ stack @ u - target * np.eye(u.shape[1])
+            devs[i] = linalg.max_abs_each(u @ core @ u.conj().T)
+    return devs
 
 
 def check_value_complementary(a: Observable, b: Observable,
@@ -165,17 +248,18 @@ def check_value_complementary(a: Observable, b: Observable,
     found_subspace = False
     for side, first, second, target in (("A", a, b, 1.0 / len(b)),
                                         ("B", b, a, 1.0 / len(a))):
-        for x, ex in first.items():
-            basis = _certainty_basis(ex, eig_tol)
-            if basis is None:
-                continue
-            found_subspace = True
-            proj = basis @ basis.conj().T
-            for y, fy in second.items():
-                dev = linalg.max_abs(proj @ fy.matrix @ proj - target * proj)
-                if dev > worst:
-                    worst = dev
-                    worst_case = (side, x, y, basis, fy, target)
+        certain = [(x, e.unit_eigenspace(eig_tol)) for x, e in first.items()]
+        certain = [(x, basis) for x, basis in certain if basis.shape[1]]
+        if not certain:
+            continue
+        found_subspace = True
+        devs = _certainty_deviations([basis for _, basis in certain],
+                                     second.stack(), target)
+        for (x, basis), dev in zip(certain, devs):
+            k = int(np.argmax(dev))
+            if dev[k] > worst:
+                worst = float(dev[k])
+                worst_case = (side, x, second.outcomes[k], basis, second.effects[k], target)
     if not found_subspace:
         return Verdict(True, 0.0, None, vacuous=True)
     witness = None

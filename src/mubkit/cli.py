@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -178,16 +179,25 @@ def report_file(report: analysis.PairReport, tolerance: float, inputs: list[str]
 
 
 def resolve_tol(flag_value: float | None, dim: int) -> float:
-    """Tolerance resolution order: --tol flag, MUBKIT_TOL env var, 1e-9 * dim."""
+    """Tolerance resolution order: --tol flag, MUBKIT_TOL env var, 1e-9 * dim.
+
+    A tolerance from the flag or the variable must be finite and positive:
+    every comparison is ``deviation <= tol``, which NaN fails and a
+    negative value turns into a rejection of exact inputs.
+    """
     if flag_value is not None:
-        return flag_value
-    env = os.environ.get(ENV_TOL)
-    if env is not None and env != "":
+        tol, source = flag_value, "--tol"
+    else:
+        env = os.environ.get(ENV_TOL)
+        if env is None or env == "":
+            return linalg.default_tol(dim)
         try:
-            return float(env)
+            tol, source = float(env), ENV_TOL
         except ValueError as exc:
             raise ParseError(f"{ENV_TOL}={env!r} is not a number") from exc
-    return linalg.default_tol(dim)
+    if not (math.isfinite(tol) and tol > 0):
+        raise ParseError(f"{source} must be a finite positive number, got {tol!r}")
+    return tol
 
 
 # ---------------------------------------------------------------- commands
@@ -234,15 +244,23 @@ _PREDICATE_FIELDS = {
 }
 
 
+def load_observable_file(path: str) -> tuple[dict, int]:
+    """The parsed JSON object of an observable file and its declared dimension."""
+    raw = load_json(path)
+    if not isinstance(raw, dict) or "dim" not in raw:
+        raise ParseError(f"{path}: not an observable file")
+    dim = raw["dim"]
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+        raise ParseError(f"{path}: \"dim\" must be a positive integer, got {dim!r}")
+    return raw, dim
+
+
 def cmd_check(args) -> int:
-    raw_a = load_json(args.fileA)
-    raw_b = load_json(args.fileB)
-    for path, raw in ((args.fileA, raw_a), (args.fileB, raw_b)):
-        if not isinstance(raw, dict) or "dim" not in raw:
-            raise ParseError(f"{path}: not an observable file")
-    if raw_a["dim"] != raw_b["dim"]:
-        raise DimMismatch(f"dims {raw_a['dim']} and {raw_b['dim']} differ")
-    tol = resolve_tol(args.tol, int(raw_a["dim"]))
+    raw_a, dim = load_observable_file(args.fileA)
+    raw_b, dim_b = load_observable_file(args.fileB)
+    if dim != dim_b:
+        raise DimMismatch(f"dims {dim} and {dim_b} differ")
+    tol = resolve_tol(args.tol, dim)
     a = observable_from_json(raw_a, tol)
     b = observable_from_json(raw_b, tol)
     report = analysis.classify_pair(a, b, tol)
@@ -293,10 +311,8 @@ def parse_partition_spec(spec: str, outcomes: tuple[str, ...]) -> PartitionMap:
 
 
 def cmd_coarse_grain(args) -> int:
-    raw = load_json(args.fileA)
-    if not isinstance(raw, dict) or "dim" not in raw:
-        raise ParseError(f"{args.fileA}: not an observable file")
-    tol = resolve_tol(args.tol, int(raw["dim"]))
+    raw, dim = load_observable_file(args.fileA)
+    tol = resolve_tol(args.tol, dim)
     obs = observable_from_json(raw, tol)
     pmap = parse_partition_spec(args.partition, obs.outcomes)
     merged = coarse_grain(obs, pmap, tol)

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import linalg
-from .errors import DimMismatch, NotPositive, SpectrumOutOfRange
+from .errors import DimMismatch, InvalidProbability, NotNormalized, NotPositive, SpectrumOutOfRange
 
 
 class Effect:
@@ -15,7 +15,7 @@ class Effect:
     root calls never re-diagonalize. Instances are immutable.
     """
 
-    __slots__ = ("matrix", "_spectral", "_sqrt", "_complement")
+    __slots__ = ("matrix", "_spectral", "_factor", "_sqrt", "_complement")
 
     def __init__(self, matrix, tol: float | None = None):
         m = linalg.as_matrix(matrix)
@@ -27,6 +27,7 @@ class Effect:
             raise SpectrumOutOfRange(f"eigenvalue {bad!r} outside [0, 1] by more than {eig_tol:.3e}")
         self.matrix = m
         self._spectral = spectral
+        self._factor = None
         self._sqrt = None
         self._complement = None
 
@@ -38,27 +39,42 @@ class Effect:
     def spectral(self) -> linalg.SpectralDecomposition:
         return self._spectral
 
-    def sqrt(self) -> np.ndarray:
-        """The positive square root, computed once from the cached spectrum.
+    def factor(self) -> tuple[np.ndarray, np.ndarray]:
+        """Rank factor (V_r, sqrt(w_r)) of the square root, computed once.
 
-        Eigenvalues inside the zero-classification band are snapped to zero
-        first; otherwise sqrt() amplifies 1e-17 solver noise on projections
-        to 3e-9 and sequential products lose six digits.
+        V_r (d x r) holds the eigenvectors whose eigenvalues w_r are at
+        least ``EIGENVALUE_TOL``; eigenvalues inside that band are snapped
+        to zero, since otherwise the root amplifies 1e-17 solver noise on
+        projections to 3e-9 and sequential products lose six digits. So
+        sqrt(A) = V_r diag(sqrt(w_r)) V_r*, and r is the rank the products
+        see: 1 for atomic effects, whose products A o B are then w v*Bv vv*.
         """
-        if self._sqrt is None:
+        if self._factor is None:
             w, v = self._spectral
-            w = np.where(w < linalg.EIGENVALUE_TOL, 0.0, w)
-            r = (v * np.sqrt(w)) @ v.conj().T
+            keep = w >= linalg.EIGENVALUE_TOL
+            self._factor = (linalg.freeze(v[:, keep]), linalg.freeze(np.sqrt(w[keep])))
+        return self._factor
+
+    def sqrt(self) -> np.ndarray:
+        """The positive square root V_r diag(sqrt(w_r)) V_r*, computed once (see ``factor``)."""
+        if self._sqrt is None:
+            v, s = self.factor()
+            r = (v * s) @ v.conj().T
             self._sqrt = linalg.freeze((r + r.conj().T) / 2.0)
         return self._sqrt
 
-    def complement(self) -> "Effect":
-        """I - A. Complementing twice returns the original object exactly."""
-        if self._complement is None:
-            comp = Effect(np.eye(self.dim, dtype=complex) - self.matrix)
-            comp._complement = self
+    def complement(self, tol: float | None = None) -> "Effect":
+        """I - A, validated with ``tol``; built once for the default tolerance.
+
+        Complementing twice returns the original object exactly.
+        """
+        if tol is None and self._complement is not None:
+            return self._complement
+        comp = Effect(np.eye(self.dim, dtype=complex) - self.matrix, tol)
+        comp._complement = self
+        if tol is None:
             self._complement = comp
-        return self._complement
+        return comp
 
     def is_sharp(self, tol: float | None = None) -> bool:
         """True when every eigenvalue sits at 0 or 1 within ``tol``."""
@@ -92,8 +108,9 @@ def effect_new(matrix, tol: float | None = None) -> Effect:
     return Effect(matrix, tol)
 
 
-def complement(a: Effect) -> Effect:
-    return a.complement()
+def complement(a: Effect, tol: float | None = None) -> Effect:
+    """I - A; see ``Effect.complement``."""
+    return a.complement(tol)
 
 
 def seq_matrix(a: Effect, b: Effect) -> np.ndarray:
@@ -107,6 +124,16 @@ def seq_matrix(a: Effect, b: Effect) -> np.ndarray:
         raise DimMismatch(f"dims {a.dim} and {b.dim} differ")
     r = a.sqrt() @ b.matrix @ a.sqrt()
     return (r + r.conj().T) / 2.0
+
+
+def seq_matrices(a: Effect, stack: np.ndarray) -> np.ndarray:
+    """A o B_y for every matrix of a (n, d, d) stack of Hermitian matrices.
+
+    Not validated, and Hermitian only up to roundoff: sqrt(A) B_y sqrt(A),
+    two stacked products.
+    """
+    root = a.sqrt()
+    return root @ stack @ root
 
 
 def seq_product(a: Effect, b: Effect, tol: float | None = None) -> Effect:
@@ -138,7 +165,7 @@ class State:
             raise NotPositive(f"state eigenvalue {spectral.eigenvalues[0]:.3e} below -{eig_tol:.3e}")
         tr = linalg.trace(m)
         if abs(tr - 1.0) > mat_tol:
-            raise ValueError(f"state trace {tr} is not 1 within {mat_tol:.3e}")
+            raise NotNormalized(f"state trace {tr} is not 1 within {mat_tol:.3e}")
         self.matrix = m
         self._spectral = spectral
 
@@ -152,7 +179,7 @@ class State:
         v = np.asarray(vector, dtype=complex)
         n = np.linalg.norm(v)
         if n == 0:
-            raise ValueError("zero vector cannot define a state")
+            raise NotNormalized("zero vector cannot define a state")
         v = v / n
         return cls(np.outer(v, v.conj()))
 
@@ -167,8 +194,8 @@ def occurrence_probability(rho: State, a: Effect, tol: float | None = None) -> f
     mat_tol, _ = linalg.tols(a.dim, tol)
     raw = linalg.trace(rho.matrix @ a.matrix)
     if abs(raw.imag) > mat_tol:
-        raise ValueError(f"probability has imaginary part {raw.imag:.3e}")
+        raise InvalidProbability(f"probability has imaginary part {raw.imag:.3e}")
     p = raw.real
     if p < -mat_tol or p > 1.0 + mat_tol:
-        raise ValueError(f"probability {p!r} outside [0, 1] by more than {mat_tol:.3e}")
+        raise InvalidProbability(f"probability {p!r} outside [0, 1] by more than {mat_tol:.3e}")
     return float(min(max(p, 0.0), 1.0))

@@ -13,6 +13,14 @@ class NonFinite(MubkitError, ValueError):
     """Matrix has a NaN or infinite entry."""
 
 
+class NotNormalized(MubkitError, ValueError):
+    """A state's trace, or a distribution's total, is not 1; or a zero vector."""
+
+
+class InvalidProbability(MubkitError, ValueError):
+    """A computed probability is complex or outside [0, 1] beyond tolerance."""
+
+
 class NotHermitian(MubkitError):
     """Matrix is not Hermitian within tolerance."""
 

@@ -61,8 +61,24 @@ def max_abs(m: np.ndarray) -> float:
     return float(np.max(np.abs(m)))
 
 
+def max_abs_each(stack: np.ndarray) -> np.ndarray:
+    """``max_abs`` of every matrix in a stack: shape (n, d, d) gives (n,)."""
+    return np.abs(stack).max(axis=(-2, -1))
+
+
 def hermiticity_defect(m: np.ndarray) -> float:
     return max_abs(m - m.conj().T)
+
+
+def hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(M + M*) / 2, of a matrix or of every matrix in a stack."""
+    return (m + np.swapaxes(m, -1, -2).conj()) / 2.0
+
+
+def quadratic_forms(vectors: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """v_k* M_y v_k for every column v_k of ``vectors`` (d, K) and every
+    matrix M_y of ``stack`` (n, d, d), as an (n, K) complex array."""
+    return np.einsum("yik,ik->yk", stack @ vectors, vectors.conj())
 
 
 class SpectralDecomposition(NamedTuple):

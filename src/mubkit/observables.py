@@ -6,9 +6,9 @@ derived constructions (``obs_seq_product``, ``conditioned``,
 ``coarse_grain``, ``conjugate``). Products, conditioning and
 coarse-graining validate with a 10x looser tolerance, since each entry
 accumulates roundoff from up to m*n sequential products. Predicates
-compare unvalidated products instead (``effects.seq_matrix`` and
-``conditioned_matrices``): products and sums of valid effects need no
-second check.
+compare unvalidated products instead (``rank_one_products``,
+``effects.seq_matrices`` and ``conditioned_matrices``): products and sums
+of valid effects need no second check.
 """
 from __future__ import annotations
 
@@ -18,13 +18,14 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import linalg
-from .effects import Effect, State, occurrence_probability, seq_matrix, seq_product
+from .effects import Effect, State, occurrence_probability, seq_matrices, seq_product
 from .errors import (
     DimMismatch,
     DuplicateLabel,
     LabelMismatch,
     MubkitError,
     NotAnEffect,
+    NotNormalized,
     SumNotIdentity,
 )
 
@@ -34,7 +35,7 @@ PRODUCT_SEP = "⊗"  # the symbol joining outcome labels of a product observable
 class Observable:
     """Effects A_x indexed by string outcome labels, with sum(A_x) = I."""
 
-    __slots__ = ("outcomes", "effects", "dim")
+    __slots__ = ("outcomes", "effects", "dim", "_stack")
 
     def __init__(self, outcomes: Sequence[str], effects, tol: float | None = None):
         labels = tuple(str(x) for x in outcomes)
@@ -68,6 +69,7 @@ class Observable:
         self.outcomes = labels
         self.effects = tuple(validated)
         self.dim = dim
+        self._stack = None
 
     def __len__(self) -> int:
         return len(self.outcomes)
@@ -83,6 +85,12 @@ class Observable:
 
     def matrices(self) -> tuple[np.ndarray, ...]:
         return tuple(e.matrix for e in self.effects)
+
+    def stack(self) -> np.ndarray:
+        """The effect matrices as one read-only (m, d, d) array, built once."""
+        if self._stack is None:
+            self._stack = linalg.freeze(np.stack(self.matrices()))
+        return self._stack
 
     def is_sharp(self, tol: float | None = None) -> bool:
         return all(e.is_sharp(tol) for e in self.effects)
@@ -112,7 +120,7 @@ class Distribution:
     def __post_init__(self):
         s = sum(self.probabilities)
         if abs(s - 1.0) > 10 * linalg.default_tol(max(len(self.probabilities), 1)):
-            raise ValueError(f"probabilities sum to {s!r}, not 1")
+            raise NotNormalized(f"probabilities sum to {s!r}, not 1")
 
     def as_dict(self) -> dict[str, float]:
         return dict(zip(self.outcomes, self.probabilities))
@@ -142,15 +150,50 @@ def obs_seq_product(a: Observable, b: Observable, tol: float | None = None) -> O
     return Observable(labels, prods, 10 * base)
 
 
-def conditioned_matrices(b: Observable, a: Observable) -> list[np.ndarray]:
-    """Effect matrices of (B|A), symmetrized but not validated: y gives sum_x A_x o B_y."""
-    effs = []
-    for by in b.effects:
-        total = np.zeros((a.dim, a.dim), dtype=complex)
-        for ax in a.effects:
-            total = total + seq_matrix(ax, by)
-        effs.append((total + total.conj().T) / 2.0)
-    return effs
+class RankOneProducts(NamedTuple):
+    """Sequential products A_x o B_y of an observable's rank-one effects.
+
+    A_x o B_y = coeffs[y, k] v_k v_k* for the k-th such effect, where v_k
+    spans the rank factor of A_x: one number per pair, no d x d matrix.
+    """
+
+    index: tuple[int, ...]  # positions x of the rank-one effects in A
+    vectors: np.ndarray     # (d, K): unit eigenvectors v_k
+    coeffs: np.ndarray      # (n, K): w_k v_k* B_y v_k, real
+
+
+def rank_one_products(a: Observable, stack: np.ndarray) -> RankOneProducts:
+    """Products of A's rank-one effects with each matrix of an (n, d, d) stack.
+
+    The coefficients are real parts, so a matrix that is Hermitian only
+    within tolerance acts through its Hermitian part, as in the
+    symmetrized ``effects.seq_matrix``.
+    """
+    index = tuple(x for x, e in enumerate(a.effects) if len(e.factor()[1]) == 1)
+    frames = np.empty((a.dim, len(index)), dtype=complex)
+    vectors = np.empty_like(frames)
+    for k, x in enumerate(index):
+        v, s = a.effects[x].factor()
+        vectors[:, k] = v[:, 0]
+        frames[:, k] = v[:, 0] * s[0]
+    return RankOneProducts(index, vectors, linalg.quadratic_forms(frames, stack).real)
+
+
+def conditioned_matrices(b: Observable, a: Observable) -> np.ndarray:
+    """Effect matrices of (B|A), Hermitian but not validated: (n, d, d), y gives sum_x A_x o B_y.
+
+    Rank-one A_x add up as one (V diag(c_y)) V* per y; the others add
+    ``seq_matrices`` stacked over y.
+    """
+    ones = rank_one_products(a, b.stack())
+    v = ones.vectors
+    total = (v * ones.coeffs[:, None, :]) @ v.conj().T
+    rest = [ax for x, ax in enumerate(a.effects) if x not in ones.index]
+    if rest:
+        stack = linalg.hermitian_part(b.stack())
+        for ax in rest:
+            total += seq_matrices(ax, stack)
+    return linalg.hermitian_part(total)
 
 
 def conditioned(b: Observable, a: Observable, tol: float | None = None) -> Observable:

@@ -4,6 +4,11 @@ Everything here draws from a numpy Generator seeded per call, so a fixed
 seed reproduces results bit-for-bit. The Monte-Carlo value-complementarity
 check deliberately shares no deviation logic with the analytic decider; it
 estimates probabilities on random vectors drawn inside certainty subspaces.
+
+The ``naive_*`` functions and ``brute_trace_table`` are the reference path
+for the deciders in ``analysis``: one dense product per outcome pair, the
+way the definitions read, and every location's deviation returned so that
+tests can check both the worst value and the witness the deciders name.
 """
 from __future__ import annotations
 
@@ -13,7 +18,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from . import linalg
-from .effects import State
+from .effects import State, seq_matrix
 from .errors import DimMismatch, InvalidParams
 from .observables import Observable
 
@@ -211,3 +216,54 @@ def brute_trace_table(a: Observable, b: Observable) -> np.ndarray:
         for j, by in enumerate(b.effects):
             table[i, j] = np.sum(ax.matrix * by.matrix.T).real
     return linalg.freeze(table)
+
+
+def naive_condition1(a: Observable, b: Observable) -> dict[tuple[str, str, str], float]:
+    """max_abs(A_x o B_y - A_x/n) and max_abs(B_y o A_x - B_y/m), keyed
+    (side, x, y) with side "A∘B" or "B∘A": reference for condition (1)."""
+    if a.dim != b.dim:
+        raise DimMismatch(f"dims {a.dim} and {b.dim} differ")
+    out = {}
+    for x, ax in a.items():
+        for y, by in b.items():
+            for side, first, second, scale in (("A∘B", ax, by, 1.0 / len(b)),
+                                               ("B∘A", by, ax, 1.0 / len(a))):
+                out[side, x, y] = linalg.max_abs(seq_matrix(first, second) - scale * first.matrix)
+    return out
+
+
+def naive_condition2(a: Observable, b: Observable) -> dict[tuple[str, str], float]:
+    """max_abs((B|A)_y - I/n) and max_abs((A|B)_x - I/m), keyed (side, outcome)
+    with side "B|A" or "A|B", summing one product at a time: reference for
+    condition (2)."""
+    if a.dim != b.dim:
+        raise DimMismatch(f"dims {a.dim} and {b.dim} differ")
+    eye = np.eye(a.dim)
+    out = {}
+    for side, obs, given in (("B|A", b, a), ("A|B", a, b)):
+        for y, by in obs.items():
+            total = sum(seq_matrix(ax, by) for ax in given.effects)
+            out[side, y] = linalg.max_abs((total + total.conj().T) / 2.0 - eye / len(obs))
+    return out
+
+
+def naive_value_complementary(a: Observable, b: Observable,
+                              tol: float | None = None) -> dict[tuple[str, str, str], float]:
+    """max_abs(P S_y P - target P) for P the projection onto the eigenvalue-1
+    eigenspace of F_x, keyed (side, x, y) with side "A" (F = A, S = B,
+    target 1/n) or "B"; empty when no effect has a certainty subspace, the
+    vacuous case. Reference for value complementarity."""
+    if a.dim != b.dim:
+        raise DimMismatch(f"dims {a.dim} and {b.dim} differ")
+    _, eig_tol = linalg.tols(a.dim, tol)
+    out = {}
+    for side, first, second, target in (("A", a, b, 1.0 / len(b)),
+                                        ("B", b, a, 1.0 / len(a))):
+        for x, ex in first.items():
+            basis = ex.unit_eigenspace(eig_tol)
+            if not basis.shape[1]:
+                continue
+            proj = basis @ basis.conj().T
+            for y, fy in second.items():
+                out[side, x, y] = linalg.max_abs(proj @ fy.matrix @ proj - target * proj)
+    return out

@@ -358,6 +358,15 @@ class TestClassifyPair:
         with pytest.raises(DimMismatch):
             classify_pair(position_observable(2), position_observable(3))
 
+    def test_atomic_pairs_at_dimension_64(self):
+        names = ("mu", "value_complementary", "condition1", "condition2", "generalized_mu")
+        rep = classify_pair(*helpers.mu_atomic_pair(64, 64))
+        assert all(getattr(rep, k).holds for k in names)
+        assert rep.alpha == 1 / 64 and rep.flags == ()
+        rep = classify_pair(*helpers.random_atomic_pair(64, 65))
+        assert not any(getattr(rep, k).holds for k in names)
+        assert rep.alpha is None and rep.flags == ()
+
 
 class TestUserTolerance:
     """A tol= that accepts the inputs reaches every comparison in the checkers."""

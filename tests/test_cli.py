@@ -146,7 +146,13 @@ class TestCheck:
         (["outcomes"], 5),
         (["effects"], 7),
         (["effects", 0, 0, 0], [float("nan"), 0.0]),
-    ], ids=["outcomes-not-list", "effects-not-list", "nan-entry"])
+        (["dim"], "abc"),
+        (["dim"], None),
+        (["dim"], [2]),
+        (["dim"], -1),
+        (["dim"], True),
+    ], ids=["outcomes-not-list", "effects-not-list", "nan-entry",
+            "dim-string", "dim-null", "dim-list", "dim-negative", "dim-bool"])
     def test_malformed_fields_are_input_errors(self, files, capsys, path, value):
         doc = json.loads((files / "q4.json").read_text())
         target = doc
@@ -155,10 +161,15 @@ class TestCheck:
         target[path[-1]] = value
         bad = files / "bad.json"
         bad.write_text(json.dumps(doc))
-        code, out, err = run(["check", "all", str(files / "q4.json"), str(bad)], capsys)
-        assert code == 2 and out == ""
-        lines = err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:")
+        for argv in (["check", "all", str(files / "q4.json"), str(bad)],
+                     ["check", "all", str(bad), str(bad)],
+                     ["coarse-grain", str(bad), "0,1|2,3"]):
+            code, out, err = run(argv, capsys)
+            assert code == 2 and out == ""
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:")
+            if path == ["dim"]:
+                assert "positive integer" in lines[0]
 
     def test_report_round_trip_is_lossless(self):
         q_half, _, p_half = example_partitions()
@@ -188,6 +199,22 @@ class TestToleranceResolution:
         code, _, err = run(["check", "all", str(files / "q4.json"),
                             str(files / "p4.json")], capsys)
         assert code == 2 and "error:" in err
+
+    @pytest.mark.parametrize("env, flag", [
+        ("nan", None), ("inf", None), ("-1e-9", None), ("0", None),
+        (None, "nan"), (None, "-1"), (None, "0"), ("0.5", "inf"),
+    ])
+    def test_non_finite_or_non_positive_tol_is_input_error(self, files, capsys,
+                                                           monkeypatch, env, flag):
+        if env is not None:
+            monkeypatch.setenv("MUBKIT_TOL", env)
+        extra = [] if flag is None else ["--tol", flag]
+        for argv in (["check", "all", str(files / "q4.json"), str(files / "p4.json")],
+                     ["coarse-grain", str(files / "q4.json"), "0,1|2,3"]):
+            code, out, err = run(argv + extra, capsys)
+            assert code == 2 and out == ""
+            lines = err.splitlines()
+            assert len(lines) == 1 and "finite positive" in lines[0]
 
 
 class TestCoarseGrain:

@@ -12,7 +12,15 @@ from mubkit.effects import (
     occurrence_probability,
     seq_product,
 )
-from mubkit.errors import DimMismatch, NotHermitian, NotPositive, SpectrumOutOfRange
+from mubkit.errors import (
+    DimMismatch,
+    InvalidProbability,
+    MubkitError,
+    NotHermitian,
+    NotNormalized,
+    NotPositive,
+    SpectrumOutOfRange,
+)
 
 Q0_DIM2 = np.diag([1.0, 0.0]).astype(complex)
 P0_DIM2 = np.array([[1, 1], [1, 1]], dtype=complex) / 2.0
@@ -106,6 +114,37 @@ class TestComplement:
         e = effect_new(np.diag([0.3, 1e-18]).astype(complex))
         assert e.complement().complement() is e
         assert np.array_equal(e.complement().complement().matrix, e.matrix)
+
+    def test_tol_reaches_complement(self):
+        m = np.diag([1.0 + 5e-7, 0.0]).astype(complex)
+        with pytest.raises(SpectrumOutOfRange):
+            effect_new(m, tol=1e-6).complement()
+        comp = complement(effect_new(m, tol=1e-6), tol=1e-6)
+        assert comp.spectral.eigenvalues[0] == pytest.approx(-5e-7, abs=1e-15)
+        e = effect_new(m, tol=1e-6)
+        assert e.complement(tol=1e-6).complement() is e
+        with pytest.raises(SpectrumOutOfRange):
+            e.complement()
+
+
+class TestFactor:
+    def test_projection_has_rank_one(self):
+        v, s = effect_new(P0_DIM2).factor()
+        assert v.shape == (2, 1) and s == pytest.approx([1.0], abs=1e-15)
+        assert mat_approx_eq(np.outer(v[:, 0], v[:, 0].conj()), P0_DIM2, tol=1e-15)
+
+    def test_snap_band_is_dropped(self):
+        e = effect_new(np.diag([0.5, 5e-10, 0.0]).astype(complex))
+        v, s = e.factor()
+        assert v.shape == (3, 1) and s == pytest.approx([np.sqrt(0.5)], abs=1e-15)
+
+    def test_reproduces_sqrt(self):
+        rng = np.random.default_rng(17)
+        for _ in range(5):
+            e = random_effect(4, rng)
+            v, s = e.factor()
+            assert mat_approx_eq((v * s) @ v.conj().T, e.sqrt(), tol=1e-14)
+            assert e.factor() is e.factor()
 
 
 class TestSeqProduct:
@@ -235,6 +274,12 @@ class TestState:
         with pytest.raises(ValueError):
             State(np.eye(2, dtype=complex))
 
+    def test_errors_are_mubkit_value_errors(self):
+        for bad in (lambda: State(np.eye(2, dtype=complex)), lambda: State.pure([0.0, 0.0])):
+            with pytest.raises(NotNormalized) as info:
+                bad()
+            assert isinstance(info.value, MubkitError) and isinstance(info.value, ValueError)
+
     def test_rejects_negative(self):
         with pytest.raises(NotPositive):
             State(np.diag([1.5, -0.5]).astype(complex))
@@ -264,3 +309,10 @@ class TestOccurrenceProbability:
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
             occurrence_probability(State(Q0_DIM2), effect_new(np.eye(3, dtype=complex) / 3))
+
+    def test_out_of_range_is_mubkit_value_error(self):
+        e = effect_new(np.diag([1.0 + 5e-7, 0.0]).astype(complex), tol=1e-6)
+        with pytest.raises(InvalidProbability) as info:
+            occurrence_probability(State(Q0_DIM2), e)
+        assert isinstance(info.value, MubkitError) and isinstance(info.value, ValueError)
+        assert occurrence_probability(State(Q0_DIM2), e, tol=1e-6) == 1.0

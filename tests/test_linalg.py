@@ -169,3 +169,4 @@ def test_psd_sqrt_of_squared_diagonal(values):
 def test_hermiticity_defect_of_hermitian_is_zero(seed, dim):
     m = random_hermitian(dim, np.random.default_rng(seed))
     assert linalg.hermiticity_defect(m) < 1e-15
+

@@ -11,11 +11,13 @@ from mubkit.errors import (
     DuplicateLabel,
     LabelMismatch,
     NotAnEffect,
+    NotNormalized,
     SumNotIdentity,
 )
 from mubkit.fourier import example_partitions, momentum_observable, position_observable
 from mubkit.observables import (
     Observable,
+    Distribution,
     PartitionMap,
     coarse_grain,
     coexistence_witness,
@@ -109,6 +111,11 @@ class TestDistribution:
             obs = random_observable(5, 4, "unsharp", rng)
             dist = distribution(rho, obs)
             assert sum(dist.probabilities) == pytest.approx(1.0, abs=1e-10)
+
+    def test_bad_total_is_mubkit_value_error(self):
+        with pytest.raises(NotNormalized) as info:
+            Distribution(("0", "1"), (0.5, 0.6))
+        assert isinstance(info.value, ValueError)
 
     def test_mapping_access(self):
         rho = State.pure([0.0, 1.0])
