@@ -23,22 +23,21 @@ comparison a checker makes.
 
 The checkers are array programs over each observable's (m, d, d) stack,
 worked one outcome at a time so that extra memory stays O((m + n) d^2);
-the (m, n, d, d) array of all products is never built. The path follows
-the rank r of each effect's square-root factor (``Effect.factor``), which
-the code reads off the cached spectrum:
+the (m, n, d, d) array of all products is never built.
 
-* r = 1 (atomic effects, such as position and momentum): A_x o B_y is
-  c_xy v v*, so every product is one number, c_xy = w v* B_y v, and all of
-  them come from one stacked product per observable, O(n d^2) per x.
-  Condition (1) then needs two d x d comparisons per x (the deviation is
-  convex in c_xy), (B|A)_y is one (V diag(c_y)) V* per y, and value
-  complementarity on a one-dimensional certainty subspace is
-  |u* B_y u - 1/n| max|u|^2. An atomic pair costs O(d^4), not O(d^5).
-* r > 1 (sharp blocks, unsharp effects): the products A_x o B_y are
-  lifted to d x d as sqrt(A_x) B_y sqrt(A_x), stacked over y (2d^3
-  multiply-adds per pair), and compared entrywise.
-* the trace table behind ``check_mu`` and ``check_generalized_mu`` is one
+* Conditions (1) and (2) read one product pass per ordered pair,
+  ``observables.products``: it makes each A_x o B_y once and reduces it
+  into condition (1)'s worst deviation and the sum (B|A)_y. Atomic
+  effects (rank-one square-root factor, ``Effect.factor``) give
+  A_x o B_y = c_xy v v*, one number per product, so an atomic pair costs
+  O(d^4), not O(d^5); other effects are lifted to sqrt(A_x) B_y sqrt(A_x).
+* Value complementarity on a one-dimensional certainty subspace is
+  |u* B_y u - 1/n| max|u|^2.
+* The trace table behind ``check_mu`` and ``check_generalized_mu`` is one
   real (m, 2d^2) x (2d^2, n) product of the flattened stacks.
+
+``classify_pair`` builds the trace table and both product passes once and
+reads every verdict from them.
 
 Products are plain ``@``. Splitting the trace-table product into calls
 small enough for OpenBLAS to run on one thread was measured and gave no
@@ -52,9 +51,8 @@ from typing import Any
 import numpy as np
 
 from . import linalg
-from .effects import seq_matrices
 from .errors import DimMismatch, InternalInconsistency, NotAtomic
-from .observables import Observable, PartitionMap, conditioned_matrices, rank_one_products
+from .observables import Observable, PartitionMap, products
 
 
 @dataclass(frozen=True)
@@ -114,9 +112,9 @@ def _trace_table(a: Observable, b: Observable) -> np.ndarray:
     return left @ right.view(float).reshape(len(b), -1).T
 
 
-def _trace_verdict(a: Observable, b: Observable, target: float, mat_tol: float) -> Verdict:
-    """Whether every tr(A_x B_y) equals ``target``; the witness is the worst pair."""
-    table = _trace_table(a, b)
+def _trace_verdict(a: Observable, b: Observable, table: np.ndarray, target: float,
+                   mat_tol: float) -> Verdict:
+    """Whether every tr(A_x B_y) in ``table`` equals ``target``; the witness is the worst pair."""
     dev = np.abs(table - target)
     i, j = np.unravel_index(np.argmax(dev), dev.shape)
     witness = None
@@ -133,50 +131,12 @@ def check_mu(a: Observable, b: Observable, tol: float | None = None) -> Verdict:
     for name, obs in (("first", a), ("second", b)):
         if not obs.is_atomic(eig_tol):
             raise NotAtomic(f"{name} observable is not atomic")
-    return _trace_verdict(a, b, 1.0 / a.dim, mat_tol)
+    return _trace_verdict(a, b, _trace_table(a, b), 1.0 / a.dim, mat_tol)
 
 
-def _product_deviations(first: Observable, second: Observable) -> tuple[np.ndarray, np.ndarray]:
-    """Worst max_abs(F_x o S_y - F_x / n) over y for each x, and the y attaining it.
-
-    For rank-one F_x the product is c_y v v* and the target is fixed, so
-    the deviation is a convex function of the real number c_y: its maximum
-    over y sits at the smallest or the largest c_y, and two d x d
-    comparisons per x replace n. Other effects compare ``seq_matrices``
-    stacked over y.
-    """
-    scale = 1.0 / len(second)
-    worst = np.zeros(len(first))
-    where = np.zeros(len(first), dtype=int)
-    ones = rank_one_products(first, second.stack())
-    if ones.index:
-        idx = list(ones.index)
-        v = ones.vectors.T
-        projections = v[:, :, None] * v.conj()[:, None, :]
-        targets = scale * first.stack()[idx]
-        cols = np.arange(len(idx))
-        lo, hi = ones.coeffs.argmin(axis=0), ones.coeffs.argmax(axis=0)
-        dev_lo, dev_hi = (linalg.max_abs_each(ones.coeffs[ys, cols, None, None] * projections - targets)
-                          for ys in (lo, hi))
-        worst[idx] = np.maximum(dev_lo, dev_hi)
-        where[idx] = np.where(dev_hi > dev_lo, hi, lo)
-    rest = [x for x in range(len(first)) if x not in ones.index]
-    if rest:
-        stack = linalg.hermitian_part(second.stack())
-        for x in rest:
-            fx = first.effects[x]
-            devs = linalg.max_abs_each(seq_matrices(fx, stack) - scale * fx.matrix)
-            where[x] = int(np.argmax(devs))
-            worst[x] = devs[where[x]]
-    return worst, where
-
-
-def check_condition1(a: Observable, b: Observable, tol: float | None = None) -> Verdict:
-    """A_x o B_y = (1/n) A_x and B_y o A_x = (1/m) B_y, entrywise."""
-    _require_pair(a, b)
-    mat_tol, _ = linalg.tols(a.dim, tol)
-    dev_ab, y_of = _product_deviations(a, b)
-    dev_ba, x_of = _product_deviations(b, a)
+def _product_verdicts(a: Observable, b: Observable, mat_tol: float) -> tuple[Verdict, Verdict]:
+    """Conditions (1) and (2), from one product pass per ordered pair."""
+    (dev_ab, y_of, given_a), (dev_ba, x_of, given_b) = products(a, b), products(b, a)
     i, j = int(np.argmax(dev_ab)), int(np.argmax(dev_ba))
     if dev_ab[i] >= dev_ba[j]:
         worst = float(dev_ab[i])
@@ -184,23 +144,29 @@ def check_condition1(a: Observable, b: Observable, tol: float | None = None) -> 
     else:
         worst = float(dev_ba[j])
         witness = {"x": a.outcomes[x_of[j]], "y": b.outcomes[j], "side": "B∘A", "deviation": worst}
-    return Verdict(worst <= mat_tol, worst, witness if worst > mat_tol else None)
+    c1 = Verdict(worst <= mat_tol, worst, witness if worst > mat_tol else None)
+    eye = np.eye(a.dim)
+    worst = 0.0
+    witness = None
+    for side, obs, conditioned in (("B|A", b, given_a), ("A|B", a, given_b)):
+        devs = linalg.max_abs_each(conditioned - eye / len(obs))
+        k = int(np.argmax(devs))
+        if devs[k] > worst:
+            worst = float(devs[k])
+            witness = {"outcome": obs.outcomes[k], "side": side, "deviation": worst}
+    return c1, Verdict(worst <= mat_tol, worst, witness if worst > mat_tol else None)
+
+
+def check_condition1(a: Observable, b: Observable, tol: float | None = None) -> Verdict:
+    """A_x o B_y = (1/n) A_x and B_y o A_x = (1/m) B_y, entrywise."""
+    _require_pair(a, b)
+    return _product_verdicts(a, b, linalg.tols(a.dim, tol)[0])[0]
 
 
 def check_condition2(a: Observable, b: Observable, tol: float | None = None) -> Verdict:
     """(B|A)_y = I/n and (A|B)_x = I/m, entrywise."""
     _require_pair(a, b)
-    mat_tol, _ = linalg.tols(a.dim, tol)
-    eye = np.eye(a.dim)
-    worst = 0.0
-    witness = None
-    for side, obs, given in (("B|A", b, a), ("A|B", a, b)):
-        devs = linalg.max_abs_each(conditioned_matrices(obs, given) - eye / len(obs))
-        k = int(np.argmax(devs))
-        if devs[k] > worst:
-            worst = float(devs[k])
-            witness = {"outcome": obs.outcomes[k], "side": side, "deviation": worst}
-    return Verdict(worst <= mat_tol, worst, witness if worst > mat_tol else None)
+    return _product_verdicts(a, b, linalg.tols(a.dim, tol)[0])[1]
 
 
 def _certainty_deviations(bases: list[np.ndarray], stack: np.ndarray,
@@ -289,7 +255,7 @@ def check_generalized_mu(a: Observable, b: Observable, tol: float | None = None)
     """tr(A_x B_y) = d/(m n) for every outcome pair."""
     _require_pair(a, b)
     mat_tol, _ = linalg.tols(a.dim, tol)
-    return _trace_verdict(a, b, forced_alpha(a, b), mat_tol)
+    return _trace_verdict(a, b, _trace_table(a, b), forced_alpha(a, b), mat_tol)
 
 
 def check_partition_criterion(fa: PartitionMap, fb: PartitionMap) -> PartitionCriterion:
@@ -333,12 +299,12 @@ def classify_pair(a: Observable, b: Observable, tol: float | None = None) -> Pai
     """
     _require_pair(a, b)
     mat_tol, eig_tol = linalg.tols(a.dim, tol)
+    table = _trace_table(a, b)
     both_atomic = a.is_atomic(eig_tol) and b.is_atomic(eig_tol)
-    mu = check_mu(a, b, tol) if both_atomic else None
+    mu = _trace_verdict(a, b, table, 1.0 / a.dim, mat_tol) if both_atomic else None
     vc = check_value_complementary(a, b, tol)
-    c1 = check_condition1(a, b, tol)
-    c2 = check_condition2(a, b, tol)
-    gmu = check_generalized_mu(a, b, tol)
+    c1, c2 = _product_verdicts(a, b, mat_tol)
+    gmu = _trace_verdict(a, b, table, forced_alpha(a, b), mat_tol)
 
     flags: list[str] = []
     limit = 10 * mat_tol

@@ -52,7 +52,7 @@ def matrix_to_json(m: np.ndarray) -> list:
 def matrix_from_json(rows) -> np.ndarray:
     try:
         m = np.array([[complex(re, im) for re, im in row] for row in rows])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"matrix entries must be [re, im] pairs: {exc}") from exc
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ParseError(f"matrix must be square, got shape {m.shape}")

@@ -22,8 +22,8 @@ class Effect:
         mat_tol, eig_tol = linalg.tols(m.shape[0], tol)
         spectral = linalg.hermitian_eig(m, mat_tol)
         w = spectral.eigenvalues
-        if w[0] < -eig_tol or w[-1] > 1.0 + eig_tol:
-            bad = w[0] if w[0] < -eig_tol else w[-1]
+        if not (w[0] >= -eig_tol and w[-1] <= 1.0 + eig_tol):  # NaN fails too
+            bad = w[0] if not w[0] >= -eig_tol else w[-1]
             raise SpectrumOutOfRange(f"eigenvalue {bad!r} outside [0, 1] by more than {eig_tol:.3e}")
         self.matrix = m
         self._spectral = spectral
@@ -117,23 +117,13 @@ def seq_matrix(a: Effect, b: Effect) -> np.ndarray:
     """The matrix sqrt(A) B sqrt(A), symmetrized to shed roundoff asymmetry.
 
     Not validated: the sequential product of two effects is an effect, so
-    predicates compare this matrix directly and only ``seq_product``
-    validates it.
+    the reference checkers in ``oracle`` compare this matrix directly and
+    only ``seq_product`` validates it.
     """
     if a.dim != b.dim:
         raise DimMismatch(f"dims {a.dim} and {b.dim} differ")
     r = a.sqrt() @ b.matrix @ a.sqrt()
     return (r + r.conj().T) / 2.0
-
-
-def seq_matrices(a: Effect, stack: np.ndarray) -> np.ndarray:
-    """A o B_y for every matrix of a (n, d, d) stack of Hermitian matrices.
-
-    Not validated, and Hermitian only up to roundoff: sqrt(A) B_y sqrt(A),
-    two stacked products.
-    """
-    root = a.sqrt()
-    return root @ stack @ root
 
 
 def seq_product(a: Effect, b: Effect, tol: float | None = None) -> Effect:
@@ -161,7 +151,7 @@ class State:
         m = linalg.as_matrix(matrix)
         mat_tol, eig_tol = linalg.tols(m.shape[0], tol)
         spectral = linalg.hermitian_eig(m, mat_tol)
-        if spectral.eigenvalues[0] < -eig_tol:
+        if not spectral.eigenvalues[0] >= -eig_tol:  # NaN fails too
             raise NotPositive(f"state eigenvalue {spectral.eigenvalues[0]:.3e} below -{eig_tol:.3e}")
         tr = linalg.trace(m)
         if abs(tr - 1.0) > mat_tol:

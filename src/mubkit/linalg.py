@@ -95,7 +95,10 @@ def hermitian_eig(m: np.ndarray, tol: float | None = None) -> SpectralDecomposit
     ----------
     m : ndarray
         Square matrix, Hermitian within ``tol``. It is symmetrized before
-        the solver runs so that both triangles contribute.
+        the solver runs so that both triangles contribute. It halves
+        first, so entries near the float limit cannot overflow into a NaN
+        spectrum; halving is exact above the subnormal range, so the
+        result has the bits of (M + M*) / 2.
     tol : float, optional
         Hermiticity tolerance; defaults to ``default_tol(dim)``.
 
@@ -116,5 +119,6 @@ def hermitian_eig(m: np.ndarray, tol: float | None = None) -> SpectralDecomposit
     tol, _ = tols(m.shape[0], tol)
     if defect > tol:
         raise NotHermitian(f"max asymmetry {defect:.3e} exceeds tol {tol:.3e}")
-    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
+    half = m * 0.5
+    w, v = np.linalg.eigh(half + half.conj().T)
     return SpectralDecomposition(freeze(w), freeze(v))

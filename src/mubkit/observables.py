@@ -6,9 +6,8 @@ derived constructions (``obs_seq_product``, ``conditioned``,
 ``coarse_grain``, ``conjugate``). Products, conditioning and
 coarse-graining validate with a 10x looser tolerance, since each entry
 accumulates roundoff from up to m*n sequential products. Predicates
-compare unvalidated products instead (``rank_one_products``,
-``effects.seq_matrices`` and ``conditioned_matrices``): products and sums
-of valid effects need no second check.
+compare the unvalidated products of ``products`` instead: products and
+sums of valid effects need no second check.
 """
 from __future__ import annotations
 
@@ -18,7 +17,7 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import linalg
-from .effects import Effect, State, occurrence_probability, seq_matrices, seq_product
+from .effects import Effect, State, occurrence_probability, seq_product
 from .errors import (
     DimMismatch,
     DuplicateLabel,
@@ -150,56 +149,66 @@ def obs_seq_product(a: Observable, b: Observable, tol: float | None = None) -> O
     return Observable(labels, prods, 10 * base)
 
 
-class RankOneProducts(NamedTuple):
-    """Sequential products A_x o B_y of an observable's rank-one effects.
+class Products(NamedTuple):
+    """Every sequential product A_x o B_y of a pair, reduced as it is made."""
 
-    A_x o B_y = coeffs[y, k] v_k v_k* for the k-th such effect, where v_k
-    spans the rank factor of A_x: one number per pair, no d x d matrix.
+    worst: np.ndarray        # (m,): max over y of max_abs(A_x o B_y - A_x / n)
+    where: np.ndarray        # (m,): the y attaining it
+    conditioned: np.ndarray  # (n, d, d): (B|A)_y = sum_x A_x o B_y, Hermitian, not validated
+
+
+def products(a: Observable, b: Observable) -> Products:
+    """Make every A_x o B_y once and reduce it as it is made: into condition
+    (1)'s worst deviation from A_x / n and into the running sum (B|A)_y.
+
+    The one place that chooses how a product is made. For an effect whose
+    rank factor has r = 1, A_x o B_y = c_y v v* with c_y = w v* B_y v: one
+    real number per y, all from one stacked product. The deviation from
+    A_x / n is convex in c_y, so its max over y sits at the smallest or the
+    largest c_y, and these effects add to (B|A) as one (V diag(c_y)) V* per
+    y. Other effects lift sqrt(A_x) B_y sqrt(A_x), stacked over y. Both
+    paths act through B's Hermitian part, as the symmetrized
+    ``effects.seq_matrix`` does.
     """
-
-    index: tuple[int, ...]  # positions x of the rank-one effects in A
-    vectors: np.ndarray     # (d, K): unit eigenvectors v_k
-    coeffs: np.ndarray      # (n, K): w_k v_k* B_y v_k, real
-
-
-def rank_one_products(a: Observable, stack: np.ndarray) -> RankOneProducts:
-    """Products of A's rank-one effects with each matrix of an (n, d, d) stack.
-
-    The coefficients are real parts, so a matrix that is Hermitian only
-    within tolerance acts through its Hermitian part, as in the
-    symmetrized ``effects.seq_matrix``.
-    """
-    index = tuple(x for x, e in enumerate(a.effects) if len(e.factor()[1]) == 1)
-    frames = np.empty((a.dim, len(index)), dtype=complex)
-    vectors = np.empty_like(frames)
-    for k, x in enumerate(index):
+    scale = 1.0 / len(b)
+    worst = np.zeros(len(a))
+    where = np.zeros(len(a), dtype=int)
+    ones = [x for x, e in enumerate(a.effects) if len(e.factor()[1]) == 1]
+    vectors = np.empty((a.dim, len(ones)), dtype=complex)
+    frames = np.empty_like(vectors)
+    for k, x in enumerate(ones):
         v, s = a.effects[x].factor()
         vectors[:, k] = v[:, 0]
         frames[:, k] = v[:, 0] * s[0]
-    return RankOneProducts(index, vectors, linalg.quadratic_forms(frames, stack).real)
-
-
-def conditioned_matrices(b: Observable, a: Observable) -> np.ndarray:
-    """Effect matrices of (B|A), Hermitian but not validated: (n, d, d), y gives sum_x A_x o B_y.
-
-    Rank-one A_x add up as one (V diag(c_y)) V* per y; the others add
-    ``seq_matrices`` stacked over y.
-    """
-    ones = rank_one_products(a, b.stack())
-    v = ones.vectors
-    total = (v * ones.coeffs[:, None, :]) @ v.conj().T
-    rest = [ax for x, ax in enumerate(a.effects) if x not in ones.index]
+    coeffs = linalg.quadratic_forms(frames, b.stack()).real
+    total = (vectors * coeffs[:, None, :]) @ vectors.conj().T
+    if ones:
+        v = vectors.T
+        projections = v[:, :, None] * v.conj()[:, None, :]
+        targets = scale * a.stack()[ones]
+        cols = np.arange(len(ones))
+        lo, hi = coeffs.argmin(axis=0), coeffs.argmax(axis=0)
+        dev_lo, dev_hi = (linalg.max_abs_each(coeffs[ys, cols, None, None] * projections - targets)
+                          for ys in (lo, hi))
+        worst[ones] = np.maximum(dev_lo, dev_hi)
+        where[ones] = np.where(dev_hi > dev_lo, hi, lo)
+    rest = [x for x in range(len(a)) if x not in ones]
     if rest:
         stack = linalg.hermitian_part(b.stack())
-        for ax in rest:
-            total += seq_matrices(ax, stack)
-    return linalg.hermitian_part(total)
+        for x in rest:
+            root = a.effects[x].sqrt()
+            lifts = root @ stack @ root
+            devs = linalg.max_abs_each(lifts - scale * a.effects[x].matrix)
+            where[x] = int(np.argmax(devs))
+            worst[x] = devs[where[x]]
+            total += lifts
+    return Products(worst, where, linalg.hermitian_part(total))
 
 
 def conditioned(b: Observable, a: Observable, tol: float | None = None) -> Observable:
     """The observable (B|A), validated once."""
     base, _ = linalg.tols(a.dim, tol)
-    return Observable(b.outcomes, conditioned_matrices(b, a), 10 * base)
+    return Observable(b.outcomes, products(a, b).conditioned, 10 * base)
 
 
 @dataclass(frozen=True)

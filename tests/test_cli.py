@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -151,8 +152,9 @@ class TestCheck:
         (["dim"], [2]),
         (["dim"], -1),
         (["dim"], True),
+        (["effects", 0, 0, 0], [10**400, 0]),
     ], ids=["outcomes-not-list", "effects-not-list", "nan-entry",
-            "dim-string", "dim-null", "dim-list", "dim-negative", "dim-bool"])
+            "dim-string", "dim-null", "dim-list", "dim-negative", "dim-bool", "int-overflow"])
     def test_malformed_fields_are_input_errors(self, files, capsys, path, value):
         doc = json.loads((files / "q4.json").read_text())
         target = doc
@@ -170,6 +172,19 @@ class TestCheck:
             assert len(lines) == 1 and lines[0].startswith("error:")
             if path == ["dim"]:
                 assert "positive integer" in lines[0]
+
+    def test_overflowing_effect_is_input_error(self, files, capsys):
+        # finite entries, but (M + M*)/2 overflows: no NaN spectrum may pass validation
+        big = [[[0.5, 0.0], [1e308, 0.0]], [[1e308, 0.0], [0.5, 0.0]]]
+        partner = [[[0.5, 0.0], [-1e308, 0.0]], [[-1e308, 0.0], [0.5, 0.0]]]
+        bad = files / "overflow.json"
+        bad.write_text(json.dumps({"dim": 2, "outcomes": ["0", "1"], "effects": [big, partner]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(["check", "all", str(bad), str(files / "q2.json")], capsys)
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
 
     def test_report_round_trip_is_lossless(self):
         q_half, _, p_half = example_partitions()

@@ -134,3 +134,11 @@ def test_deciders_match_naive_reference(kind, dim, seed, tol):
                       lambda w: (w["x"], w["y"])))
     for verdict, deviations, locate in cases:
         assert_agrees(verdict, deviations, locate, mat_tol)
+    # classify_pair reads shared product passes and one trace table, not the
+    # standalone checkers: pin the two paths to each other
+    report = analysis.classify_pair(a, b, tol)
+    assert report.condition1 == cases[0][0]
+    assert report.condition2 == cases[1][0]
+    assert report.value_complementary == cases[2][0]
+    assert report.generalized_mu == cases[3][0]
+    assert report.mu == (cases[4][0] if len(cases) == 5 else None)

@@ -46,6 +46,11 @@ MIXED_PRODUCT = np.array([[2, 1 + 1j, 0, 0],
 
 Q_HALF_0 = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
 
+# finite entries whose symmetrization (M + M*)/2 overflows to inf
+OVERFLOWING = [np.array([[0.5, 1e308], [1e308, 0.5]], dtype=complex),
+               np.diag([1e308, 1e308]).astype(complex),
+               np.array([[0.2, 0.0, 1.7e308], [0.0, 0.3, 0.0], [1.7e308, 0.0, 0.5]], dtype=complex)]
+
 
 def random_effect(dim, rng):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -76,6 +81,13 @@ class TestEffectValidation:
     def test_rejects_nonsquare(self):
         with pytest.raises(DimMismatch):
             effect_new(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("m", OVERFLOWING, ids=["off-diagonal", "diagonal", "dim3"])
+    def test_rejects_overflowing_symmetrization(self, m):
+        w = linalg.hermitian_eig(m).eigenvalues
+        assert np.all(np.isfinite(w)) and w[-1] >= 1e308
+        with pytest.raises(SpectrumOutOfRange, match="e\\+308"):
+            effect_new(m)
 
     def test_tolerates_tiny_negative_eigenvalue(self):
         effect_new(np.diag([0.5, -5e-10]).astype(complex))
@@ -283,6 +295,11 @@ class TestState:
     def test_rejects_negative(self):
         with pytest.raises(NotPositive):
             State(np.diag([1.5, -0.5]).astype(complex))
+
+    @pytest.mark.parametrize("m", [OVERFLOWING[0], OVERFLOWING[2]], ids=["off-diagonal", "dim3"])
+    def test_rejects_overflowing_symmetrization(self, m):
+        with pytest.raises(NotPositive, match="e\\+308"):
+            State(m)
 
     def test_pure_normalizes(self):
         s = State.pure([2.0, 0.0])
