@@ -34,7 +34,6 @@ from .errors import (
 )
 from .fourier import example_partitions, fourier_matrix, momentum_observable, position_observable
 from .observables import Observable, PartitionMap, coarse_grain, observable_new
-from .paper_suite import run_paper_suite
 
 ENV_TOL = "MUBKIT_TOL"
 
@@ -323,6 +322,10 @@ def cmd_coarse_grain(args) -> int:
 
 
 def cmd_paper_suite(args) -> int:
+    if args.seed < 0:
+        raise ParseError(f"--seed must be a non-negative integer, got {args.seed}")
+    from .paper_suite import run_paper_suite  # only this command pays for the fixture table
+
     results = run_paper_suite(seed=args.seed)
     width = max(len(r.name) for r in results)
     for r in results:
@@ -350,7 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_con.add_argument("kind", choices=["position", "momentum", "fourier", "example5", "example6"])
     p_con.add_argument("N", type=int, help="dimension (the example kinds need 4)")
     p_con.add_argument("--out", help="output path; stdout if omitted (single-output kinds)")
-    p_con.add_argument("--tol", type=float, default=None)
     p_con.set_defaults(fn=cmd_construct)
 
     p_chk = sub.add_parser("check", help="classify a pair of observable files")

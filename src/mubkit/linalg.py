@@ -67,7 +67,11 @@ def max_abs_each(stack: np.ndarray) -> np.ndarray:
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
-    return max_abs(m - m.conj().T)
+    """max |M - M*|, taken as 2 max |H - H*| with H = M/2 so that entries
+    near the float limit cannot overflow. Above the subnormal range the
+    halving is exact, so the bits are those of max |M - M*|."""
+    half = m * 0.5
+    return 2.0 * max_abs(half - half.conj().T)
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
@@ -115,10 +119,11 @@ def hermitian_eig(m: np.ndarray, tol: float | None = None) -> SpectralDecomposit
     NotHermitian
         If the asymmetry exceeds ``tol``; the message carries the defect.
     """
-    defect = hermiticity_defect(m)
+    half = m * 0.5
+    half_adj = half.conj().T
+    defect = 2.0 * max_abs(half - half_adj)  # hermiticity_defect(m), from the same half
     tol, _ = tols(m.shape[0], tol)
     if defect > tol:
         raise NotHermitian(f"max asymmetry {defect:.3e} exceeds tol {tol:.3e}")
-    half = m * 0.5
-    w, v = np.linalg.eigh(half + half.conj().T)
+    w, v = np.linalg.eigh(half + half_adj)
     return SpectralDecomposition(freeze(w), freeze(v))

@@ -1,9 +1,11 @@
 """Built-in regression fixtures over the worked low-dimensional examples.
 
-Each fixture pins results for the dimension-2 and dimension-4 transform
-pairs and their coarse-grainings against hard-coded matrices and verdicts.
-The CLI exposes them as the ``paper-suite`` command; tests carry their own
-independent copies of the same constants.
+``FIXTURES`` is an ordered table of ``(name, fixture)`` rows; a fixture
+takes the seed and returns its detail line or raises. ``_identity`` rows
+compare computed values with the hard-coded constants below, ``_verdicts``
+rows check a predicate on the three worked dimension-4 pairs. Nothing is
+built before ``run_paper_suite`` runs. The CLI exposes the table as the
+``paper-suite`` command; tests carry their own copies of the constants.
 """
 from __future__ import annotations
 
@@ -80,105 +82,51 @@ MIXED_PRODUCT = np.array([[2, 1 + 1j, 0, 0],
 CROSS_WITNESS = np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2.0)
 
 
-def _close(got, want, tol=TIGHT) -> float:
-    dev = linalg.max_abs(np.asarray(got) - np.asarray(want))
-    assert dev <= tol, f"deviation {dev:.3e} exceeds {tol:.3e}"
-    return dev
+def _pm(dim):
+    return position_observable(dim), momentum_observable(dim)
 
 
-def _fx_fourier_dim2(seed):
-    dev = _close(fourier_matrix(2), F2)
-    return f"transform entries within {dev:.1e}"
-
-
-def _fx_fourier_dim4(seed):
-    dev = _close(fourier_matrix(4), F4)
-    return f"transform entries within {dev:.1e}"
-
-
-def _fx_bases_dim2(seed):
-    q, p = position_observable(2), momentum_observable(2)
-    worst = max(_close(q.effects[j].matrix, Q2[j]) for j in range(2))
-    worst = max(worst, *(_close(p.effects[j].matrix, P2[j]) for j in range(2)))
-    return f"all four effects within {worst:.1e}"
-
-
-def _fx_bases_dim4(seed):
-    q, p = position_observable(4), momentum_observable(4)
-    worst = max(_close(q.effects[j].matrix, Q4[j]) for j in range(4))
-    worst = max(worst, *(_close(p.effects[j].matrix, P4[j]) for j in range(4)))
-    return f"all eight effects within {worst:.1e}"
-
-
-def _fx_trace_pairing(seed):
-    q, p = position_observable(2), momentum_observable(2)
-    t = linalg.trace(q.effects[0].matrix @ p.effects[0].matrix)
-    assert abs(t - 0.5) <= TIGHT, f"tr(Q0 P0) = {t}"
-    return "tr(Q0 P0) = 1/2"
-
-
-def _fx_atomic_products(seed):
-    worst = 0.0
-    for dim in (2, 4):
-        q, p = position_observable(dim), momentum_observable(dim)
-        for qe in q.effects:
-            for pe in p.effects:
-                worst = max(worst, linalg.max_abs(seq_product(qe, pe).matrix - qe.matrix / dim))
-                worst = max(worst, linalg.max_abs(seq_product(pe, qe).matrix - pe.matrix / dim))
-    assert worst <= TIGHT, f"atomic products deviate by {worst:.3e}"
-    return f"Q_j o P_k = Q_j/dim in both orders within {worst:.1e}"
-
-
-def _fx_occurrence(seed):
-    q, p = position_observable(2), momentum_observable(2)
-    rho = State(q.effects[0].matrix)
-    val = occurrence_probability(rho, p.effects[0])
-    assert abs(val - 0.5) <= TIGHT, f"probability {val}"
-    return "P0 in state Q0 has probability 1/2"
-
-
-def _fx_conditioned_uniform(seed):
-    worst = 0.0
-    for dim in (2, 4):
-        q, p = position_observable(dim), momentum_observable(dim)
-        for cond in (conditioned(p, q), conditioned(q, p)):
-            for eff in cond.effects:
-                worst = max(worst, linalg.max_abs(eff.matrix - np.eye(dim) / dim))
-    assert worst <= TIGHT, f"conditioned effects deviate by {worst:.3e}"
-    return f"(P|Q) and (Q|P) uniform within {worst:.1e} for dims 2 and 4"
-
-
-def _fx_coarse_grainings(seed):
+def _worked_pairs():
+    """(Q, P) in dimension 4, the matched (Q', P') and the mismatched (Q', P'')."""
     q_half, p_parity, p_half = example_partitions()
-    worst = max(
-        max(_close(q_half.effects[j].matrix, Q_HALF[j]) for j in range(2)),
-        max(_close(p_parity.effects[j].matrix, P_PARITY[j]) for j in range(2)),
-        max(_close(p_half.effects[j].matrix, P_HALF[j]) for j in range(2)),
-    )
-    return f"all six merged effects within {worst:.1e}"
+    return _pm(4), (q_half, p_parity), (q_half, p_half)
 
 
-def _fx_halved_products(seed):
-    q_half, p_parity, _ = example_partitions()
-    worst = 0.0
-    for j, qe in enumerate(q_half.effects):
-        for k, pe in enumerate(p_parity.effects):
-            worst = max(worst, linalg.max_abs(seq_product(qe, pe).matrix - qe.matrix / 2.0))
-            worst = max(worst, linalg.max_abs(seq_product(pe, qe).matrix - pe.matrix / 2.0))
-    assert worst <= TIGHT, f"products deviate by {worst:.3e}"
-    return f"both orders equal half the first factor within {worst:.1e}"
+def _matrices(*observables):
+    return [e.matrix for obs in observables for e in obs.effects]
 
 
-def _fx_mixed_product(seed):
-    q_half, _, p_half = example_partitions()
-    got = seq_product(q_half.effects[0], p_half.effects[0]).matrix
-    dev = _close(got, MIXED_PRODUCT)
-    return f"asymmetric product matrix within {dev:.1e}"
+def _both_orders(a, b):
+    """(A_x∘B_y, A_x/n) and (B_y∘A_x, B_y/m) for every pair of effects."""
+    return [pair for x in a.effects for y in b.effects
+            for pair in ((seq_product(x, y).matrix, x.matrix / len(b.effects)),
+                         (seq_product(y, x).matrix, y.matrix / len(a.effects)))]
+
+
+def _identity(detail: str, pairs: Callable) -> Callable:
+    """Fixture: every ``(got, want)`` from ``pairs()`` agrees within ``TIGHT``;
+    ``detail`` is formatted with the worst entrywise deviation."""
+    def fixture(seed):
+        worst = max(linalg.max_abs(np.asarray(got) - np.asarray(want)) for got, want in pairs())
+        assert worst <= TIGHT, f"deviation {worst:.3e} exceeds {TIGHT:.3e}"
+        return detail.format(worst)
+    return fixture
+
+
+def _verdicts(check: Callable, detail: str) -> Callable:
+    """Fixture: ``check`` holds on both matched worked pairs and fails with a
+    witness on the mismatched one; ``detail`` gets the failing deviation."""
+    def fixture(seed):
+        full, matched, mismatched = _worked_pairs()
+        assert check(*full).holds and check(*matched).holds
+        v = check(*mismatched)
+        assert not v.holds and v.witness is not None and not v.vacuous
+        return detail.format(v.max_deviation)
+    return fixture
 
 
 def _fx_sharp_not_atomic(seed):
-    q_half, p_parity, p_half = example_partitions()
-    for obs in (q_half, p_parity, p_half):
+    for obs in example_partitions():
         assert obs.is_sharp(), "merged observable should stay sharp"
         assert not obs.is_atomic(), "rank-two projections are not atomic"
     return "all three merged observables sharp, none atomic"
@@ -193,39 +141,9 @@ def _fx_conditioning_not_sharp(seed):
 
 def _fx_mu(seed):
     for dim in (2, 4, 8):
-        v = analysis.check_mu(position_observable(dim), momentum_observable(dim))
+        v = analysis.check_mu(*_pm(dim))
         assert v.holds, f"dim {dim}: deviation {v.max_deviation:.3e}"
     return "position/momentum unbiased for dims 2, 4, 8"
-
-
-def _fx_condition1(seed):
-    q_half, p_parity, p_half = example_partitions()
-    q, p = position_observable(4), momentum_observable(4)
-    assert analysis.check_condition1(q, p).holds
-    assert analysis.check_condition1(q_half, p_parity).holds
-    v = analysis.check_condition1(q_half, p_half)
-    assert not v.holds and v.witness is not None
-    return f"holds for the matched pairs, fails mismatched (dev {v.max_deviation:.2e})"
-
-
-def _fx_condition2(seed):
-    q_half, p_parity, p_half = example_partitions()
-    q, p = position_observable(4), momentum_observable(4)
-    assert analysis.check_condition2(q, p).holds
-    assert analysis.check_condition2(q_half, p_parity).holds
-    v = analysis.check_condition2(q_half, p_half)
-    assert not v.holds and v.witness is not None
-    return f"holds for the matched pairs, fails mismatched (dev {v.max_deviation:.2e})"
-
-
-def _fx_value_complementarity(seed):
-    q_half, p_parity, p_half = example_partitions()
-    q, p = position_observable(4), momentum_observable(4)
-    assert analysis.check_value_complementary(q, p).holds
-    assert analysis.check_value_complementary(q_half, p_parity).holds
-    v = analysis.check_value_complementary(q_half, p_half)
-    assert not v.holds and v.witness is not None and not v.vacuous
-    return f"fails only for the mismatched pair (dev {v.max_deviation:.2e})"
 
 
 def _fx_injected_witness(seed):
@@ -256,19 +174,13 @@ def _fx_generalized_mu(seed):
 
 
 def _fx_classify(seed):
-    q, p = position_observable(4), momentum_observable(4)
-    full = analysis.classify_pair(q, p)
+    full, matched, mismatched = (analysis.classify_pair(a, b) for a, b in _worked_pairs())
     assert full.mu is not None and full.mu.holds
     assert full.condition1.holds and full.condition2.holds
     assert full.value_complementary.holds and full.generalized_mu.holds
-
-    q_half, p_parity, p_half = example_partitions()
-    matched = analysis.classify_pair(q_half, p_parity)
     assert matched.mu is None
     assert matched.condition1.holds and matched.condition2.holds
     assert matched.value_complementary.holds and matched.generalized_mu.holds
-
-    mismatched = analysis.classify_pair(q_half, p_half)
     assert mismatched.mu is None
     assert not mismatched.condition1.holds and not mismatched.condition2.holds
     assert not mismatched.value_complementary.holds
@@ -294,37 +206,58 @@ def _fx_trivial(seed):
     return "uniform observable trivial, position observable not"
 
 
-def _fx_complement(seed):
-    _, p_parity, _ = example_partitions()
-    comp = p_parity.effects[0].complement()
-    dev = _close(comp.matrix, p_parity.effects[1].matrix)
-    return f"complement of the first parity effect is the second (within {dev:.1e})"
-
-
 FIXTURES: tuple[tuple[str, Callable], ...] = (
-    ("fourier-matrix-dim2", _fx_fourier_dim2),
-    ("fourier-matrix-dim4", _fx_fourier_dim4),
-    ("position-momentum-dim2", _fx_bases_dim2),
-    ("position-momentum-dim4", _fx_bases_dim4),
-    ("trace-pairing-dim2", _fx_trace_pairing),
-    ("atomic-pair-products", _fx_atomic_products),
-    ("occurrence-probability", _fx_occurrence),
-    ("conditioned-uniform", _fx_conditioned_uniform),
-    ("coarse-grainings-dim4", _fx_coarse_grainings),
-    ("halved-pair-products", _fx_halved_products),
-    ("mismatched-pair-product", _fx_mixed_product),
+    ("fourier-matrix-dim2", _identity(
+        "transform entries within {:.1e}", lambda: [(fourier_matrix(2), F2)])),
+    ("fourier-matrix-dim4", _identity(
+        "transform entries within {:.1e}", lambda: [(fourier_matrix(4), F4)])),
+    ("position-momentum-dim2", _identity(
+        "all four effects within {:.1e}", lambda: zip(_matrices(*_pm(2)), Q2 + P2))),
+    ("position-momentum-dim4", _identity(
+        "all eight effects within {:.1e}", lambda: zip(_matrices(*_pm(4)), Q4 + P4))),
+    ("trace-pairing-dim2", _identity(
+        "tr(Q0 P0) = 1/2",
+        lambda: [(linalg.trace(q.effects[0].matrix @ p.effects[0].matrix), 0.5)
+                 for q, p in [_pm(2)]])),
+    ("atomic-pair-products", _identity(
+        "Q_j o P_k = Q_j/dim in both orders within {:.1e}",
+        lambda: [pair for dim in (2, 4) for pair in _both_orders(*_pm(dim))])),
+    ("occurrence-probability", _identity(
+        "P0 in state Q0 has probability 1/2",
+        lambda: [(occurrence_probability(State(q.effects[0].matrix), p.effects[0]), 0.5)
+                 for q, p in [_pm(2)]])),
+    ("conditioned-uniform", _identity(
+        "(P|Q) and (Q|P) uniform within {:.1e} for dims 2 and 4",
+        lambda: [(m, np.eye(q.dim) / q.dim) for q, p in map(_pm, (2, 4))
+                 for m in _matrices(conditioned(p, q), conditioned(q, p))])),
+    ("coarse-grainings-dim4", _identity(
+        "all six merged effects within {:.1e}",
+        lambda: zip(_matrices(*example_partitions()), Q_HALF + P_PARITY + P_HALF))),
+    ("halved-pair-products", _identity(
+        "both orders equal half the first factor within {:.1e}",
+        lambda: _both_orders(*_worked_pairs()[1]))),
+    ("mismatched-pair-product", _identity(
+        "asymmetric product matrix within {:.1e}",
+        lambda: [(seq_product(q.effects[0], p.effects[0]).matrix, MIXED_PRODUCT)
+                 for q, p in [_worked_pairs()[2]]])),
     ("sharp-but-not-atomic", _fx_sharp_not_atomic),
     ("conditioning-breaks-sharpness", _fx_conditioning_not_sharp),
     ("mutual-unbiasedness", _fx_mu),
-    ("condition1-verdicts", _fx_condition1),
-    ("condition2-verdicts", _fx_condition2),
-    ("value-complementarity-verdicts", _fx_value_complementarity),
+    ("condition1-verdicts", _verdicts(
+        analysis.check_condition1, "holds for the matched pairs, fails mismatched (dev {:.2e})")),
+    ("condition2-verdicts", _verdicts(
+        analysis.check_condition2, "holds for the matched pairs, fails mismatched (dev {:.2e})")),
+    ("value-complementarity-verdicts", _verdicts(
+        analysis.check_value_complementary, "fails only for the mismatched pair (dev {:.2e})")),
     ("injected-witness-probability", _fx_injected_witness),
     ("generalized-unbiasedness", _fx_generalized_mu),
     ("classification-reports", _fx_classify),
     ("partition-size-criterion", _fx_partition_criterion),
     ("trivial-observables", _fx_trivial),
-    ("complement-pairing", _fx_complement),
+    ("complement-pairing", _identity(
+        "complement of the first parity effect is the second (within {:.1e})",
+        lambda: [(p.effects[0].complement().matrix, p.effects[1].matrix)
+                 for p in [example_partitions()[1]]])),
 )
 
 

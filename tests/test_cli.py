@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 import warnings
 
 import numpy as np
@@ -92,6 +93,13 @@ class TestConstruct:
         code, _, err = run(["construct", "fourier", "0"], capsys)
         assert code == 2 and "error:" in err
 
+    def test_tol_is_not_an_option(self, capsys):
+        # construct compares nothing, so it takes no tolerance
+        with pytest.raises(SystemExit) as exc:
+            main(["construct", "position", "4", "--tol", "nan"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
 
 class TestCheck:
     def test_all_holds_exit_zero(self, files, capsys):
@@ -174,17 +182,21 @@ class TestCheck:
                 assert "positive integer" in lines[0]
 
     def test_overflowing_effect_is_input_error(self, files, capsys):
-        # finite entries, but (M + M*)/2 overflows: no NaN spectrum may pass validation
-        big = [[[0.5, 0.0], [1e308, 0.0]], [[1e308, 0.0], [0.5, 0.0]]]
-        partner = [[[0.5, 0.0], [-1e308, 0.0]], [[-1e308, 0.0], [0.5, 0.0]]]
-        bad = files / "overflow.json"
-        bad.write_text(json.dumps({"dim": 2, "outcomes": ["0", "1"], "effects": [big, partner]}))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code, out, err = run(["check", "all", str(bad), str(files / "q2.json")], capsys)
-        assert code == 2 and out == ""
-        lines = err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:")
+        # finite entries, but (M + M*)/2 overflows (Hermitian case) or M - M*
+        # overflows (skew case): no NaN spectrum may pass validation, and no
+        # numpy overflow warning may precede the one error line
+        for lower in (1e308, -1e308):
+            effect = [[[0.5, 0.0], [1e308, 0.0]], [[lower, 0.0], [0.5, 0.0]]]
+            partner = [[[0.5, 0.0], [-1e308, 0.0]], [[-lower, 0.0], [0.5, 0.0]]]
+            bad = files / "overflow.json"
+            bad.write_text(json.dumps({"dim": 2, "outcomes": ["0", "1"],
+                                       "effects": [effect, partner]}))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run(["check", "all", str(bad), str(files / "q2.json")], capsys)
+            assert code == 2 and out == ""
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:")
 
     def test_report_round_trip_is_lossless(self):
         q_half, _, p_half = example_partitions()
@@ -275,23 +287,86 @@ class TestCoarseGrain:
             parse_partition_spec("0,1|2,7", outcomes)
 
 
+PAPER_SUITE_NAMES = [
+    "fourier-matrix-dim2", "fourier-matrix-dim4",
+    "position-momentum-dim2", "position-momentum-dim4",
+    "trace-pairing-dim2", "atomic-pair-products", "occurrence-probability",
+    "conditioned-uniform", "coarse-grainings-dim4", "halved-pair-products",
+    "mismatched-pair-product", "sharp-but-not-atomic", "conditioning-breaks-sharpness",
+    "mutual-unbiasedness", "condition1-verdicts", "condition2-verdicts",
+    "value-complementarity-verdicts", "injected-witness-probability",
+    "generalized-unbiasedness", "classification-reports", "partition-size-criterion",
+    "trivial-observables", "complement-pairing",
+]
+
+
 class TestPaperSuite:
     def test_runs_green(self, capsys):
         code, out, err = run(["paper-suite"], capsys)
         assert code == 0
         obj = json.loads(out)
         assert obj["passed"] is True
-        assert len(obj["fixtures"]) >= 20
+        assert [f["name"] for f in obj["fixtures"]] == PAPER_SUITE_NAMES
         assert all(f["passed"] for f in obj["fixtures"])
-        assert "fixtures passed" in err
+        assert "23/23 fixtures passed" in err
+
+    def test_raising_row_is_reported(self, capsys, monkeypatch):
+        from mubkit import paper_suite
+
+        def broken(seed):
+            raise KeyError("no such effect")
+
+        monkeypatch.setattr(paper_suite, "FIXTURES",
+                            paper_suite.FIXTURES[:1] + (("broken-row", broken),))
+        code, out, err = run(["paper-suite"], capsys)
+        assert code == 1
+        obj = json.loads(out)
+        assert obj["passed"] is False
+        assert obj["fixtures"][0]["passed"] is True
+        assert obj["fixtures"][1] == {"name": "broken-row", "passed": False,
+                                      "detail": "KeyError: 'no such effect'"}
+        assert "broken-row" in err and "FAIL" in err and "1/2 fixtures passed" in err
+
+    def test_negative_seed_is_input_error(self, capsys):
+        code, out, err = run(["paper-suite", "--seed", "-1"], capsys)
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and "--seed" in lines[0]
 
 
-def test_module_entry_point(tmp_path):
+def _subprocess_env():
     # cwd moves away from the repo, so a relative PYTHONPATH would not resolve
     root = os.path.dirname(os.path.dirname(os.path.abspath(mubkit.__file__)))
     path = [root, os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+
+def test_cli_import_leaves_the_fixture_table_unbuilt(tmp_path):
+    # a check/construct/coarse-grain process must not load paper_suite, and
+    # loading it must not build an observable before the suite runs
+    script = textwrap.dedent("""
+        import sys
+        import mubkit.cli
+        assert "mubkit.paper_suite" not in sys.modules
+        from mubkit.observables import Observable
+        built = []
+        init = Observable.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        Observable.__init__ = counting_init
+        import mubkit.paper_suite
+        assert built == [], built
+    """)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          cwd=tmp_path, env=_subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_module_entry_point(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "mubkit", "construct", "fourier", "2"],
-                          capture_output=True, text=True, cwd=tmp_path, env=env)
+                          capture_output=True, text=True, cwd=tmp_path, env=_subprocess_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["dim"] == 2

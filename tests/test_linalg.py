@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -170,3 +172,15 @@ def test_hermiticity_defect_of_hermitian_is_zero(seed, dim):
     m = random_hermitian(dim, np.random.default_rng(seed))
     assert linalg.hermiticity_defect(m) < 1e-15
 
+
+
+def test_hermiticity_defect_does_not_overflow():
+    # M - M* overflows, M/2 - (M/2)* does not: no numpy warning, and
+    # hermitian_eig rejects the matrix by its (infinite) asymmetry
+    m = np.array([[0.5, 1e308], [-1e308, 0.5]], dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert linalg.hermiticity_defect(m) == np.inf
+        assert linalg.hermiticity_defect(m / 2.0) == 1e308
+        with pytest.raises(NotHermitian, match="asymmetry inf"):
+            linalg.hermitian_eig(m)
