@@ -29,12 +29,18 @@ the (m, n, d, d) array of all products is never built.
   ``observables.products``: it makes each A_x o B_y once and reduces it
   into condition (1)'s worst deviation and the sum (B|A)_y. Atomic
   effects (rank-one square-root factor, ``Effect.factor``) give
-  A_x o B_y = c_xy v v*, one number per product, so an atomic pair costs
+  A_x o B_y = c_xy P_x with P_x = v v*, one number per product. The
+  projections form one stack, and the coefficients and their part of
+  (B|A) are two real GEMMs over its float view, so an atomic pair costs
   O(d^4), not O(d^5); other effects are lifted to sqrt(A_x) B_y sqrt(A_x).
 * Value complementarity on a one-dimensional certainty subspace is
-  |u* B_y u - 1/n| max|u|^2.
+  |Re u* B_y u - 1/n| max|u|^2, one such GEMM for all of them.
 * The trace table behind ``check_mu`` and ``check_generalized_mu`` is one
   real (m, 2d^2) x (2d^2, n) product of the flattened stacks.
+
+The rank-one coefficients, the line-subspace forms and the trace table
+are all ``linalg.frobenius``: Re <L_i, R_k> for two stacks, one real GEMM
+over their float views.
 
 ``classify_pair`` builds the trace table and both product passes once and
 reads every verdict from them.
@@ -107,9 +113,7 @@ def _trace_table(a: Observable, b: Observable) -> np.ndarray:
     Re tr(A B) = sum_ij Re(A_ij conj(B*_ij)), so each effect is flattened
     to its interleaved real and imaginary parts, B's conjugate-transposed.
     """
-    left = a.stack().view(float).reshape(len(a), -1)
-    right = np.ascontiguousarray(b.stack().conj().transpose(0, 2, 1))
-    return left @ right.view(float).reshape(len(b), -1).T
+    return linalg.frobenius(a.stack(), np.ascontiguousarray(b.stack().conj().transpose(0, 2, 1)))
 
 
 def _trace_verdict(a: Observable, b: Observable, table: np.ndarray, target: float,
@@ -174,14 +178,16 @@ def _certainty_deviations(bases: list[np.ndarray], stack: np.ndarray,
     """For each certainty basis U (d x k): max_abs(P S_y P - target P) over y, P = U U*.
 
     With k = 1 the matrix is (u* S_y u - target) u u*, whose entrywise
-    max is |u* S_y u - target| max_i |u_i|^2; all such subspaces are done
-    at once. Larger subspaces compress S_y to k x k and lift back.
+    max is |u* S_y u - target| max_i |u_i|^2, read through S_y's Hermitian
+    part as Re <S_y, u u*>; all such subspaces take one ``linalg.frobenius``
+    product. Larger subspaces compress S_y to k x k and lift back.
     """
     devs: list[np.ndarray] = [np.empty(0)] * len(bases)
     lines = [i for i, u in enumerate(bases) if u.shape[1] == 1]
     if lines:
         u = np.concatenate([bases[i] for i in lines], axis=1)
-        table = np.abs(linalg.quadratic_forms(u, stack) - target) * np.max(np.abs(u), axis=0) ** 2
+        forms = linalg.frobenius(stack, linalg.projections(u))
+        table = np.abs(forms - target) * np.max(np.abs(u), axis=0) ** 2
         for col, i in enumerate(lines):
             devs[i] = table[:, col]
     for i, u in enumerate(bases):

@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -49,13 +50,31 @@ def matrix_to_json(m: np.ndarray) -> list:
 
 
 def matrix_from_json(rows) -> np.ndarray:
+    """A d x d complex matrix from d rows of d [re, im] pairs of JSON numbers.
+
+    The entries are flattened and checked by type in one pass, then read as
+    floats by numpy, with no Python loop per entry. The type check rejects
+    true and false, which ``complex`` and ``float`` would take as 1 and 0.
+    """
     try:
-        m = np.array([[complex(re, im) for re, im in row] for row in rows])
-    except (TypeError, ValueError, OverflowError) as exc:
+        pairs = list(chain.from_iterable(rows))
+        values = list(chain.from_iterable(pairs))
+    except TypeError as exc:
         raise ParseError(f"matrix entries must be [re, im] pairs: {exc}") from exc
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ParseError(f"matrix must be square, got shape {m.shape}")
-    return m
+    kinds = set(map(type, values)) - {int, float}
+    if kinds:
+        names = ", ".join(sorted(k.__name__ for k in kinds))
+        raise ParseError(f"matrix entries must be numbers, got {names}")
+    if set(map(len, pairs)) != {2}:
+        raise ParseError("matrix entries must be [re, im] pairs")
+    dim = len(rows)
+    lengths = set(map(len, rows))
+    if lengths != {dim}:
+        raise ParseError(f"matrix must be square, got {dim} rows of lengths {sorted(lengths)}")
+    try:
+        return np.array(values, dtype=float).view(complex).reshape(dim, dim)
+    except OverflowError as exc:
+        raise ParseError(f"matrix entries must be finite floats: {exc}") from exc
 
 
 def observable_to_json(obs: Observable) -> dict:
@@ -75,15 +94,21 @@ def observable_from_json(obj, tol: float | None = None) -> Observable:
     for field in ("outcomes", "effects"):
         if not isinstance(obj[field], list):
             raise ParseError(f"observable field {field!r} must be a list")
+    for label in obj["outcomes"]:
+        if not isinstance(label, str):
+            raise ParseError(f"outcome labels must be strings, got {type(label).__name__}")
     matrices = [matrix_from_json(rows) for rows in obj["effects"]]
     return observable_new(obj["dim"], obj["outcomes"], matrices, tol)
 
 
 def load_json(path: str):
+    """Parse a JSON file; bytes that are not UTF-8, malformed JSON, nesting too
+    deep for the decoder and integer literals past Python's digit limit are
+    all a ParseError (the first, second and last are ValueErrors)."""
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
 
@@ -244,13 +269,22 @@ _PREDICATE_FIELDS = {
 
 
 def load_observable_file(path: str) -> tuple[dict, int]:
-    """The parsed JSON object of an observable file and its declared dimension."""
+    """The parsed JSON object of an observable file and its declared dimension.
+
+    The dimension must equal the row count of the first effect, so a huge
+    ``dim`` is rejected here, before the default tolerance multiplies it.
+    """
     raw = load_json(path)
     if not isinstance(raw, dict) or "dim" not in raw:
         raise ParseError(f"{path}: not an observable file")
     dim = raw["dim"]
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise ParseError(f"{path}: \"dim\" must be a positive integer, got {dim!r}")
+    effects = raw.get("effects")
+    if not (isinstance(effects, list) and effects and isinstance(effects[0], list)):
+        raise ParseError(f"{path}: \"effects\" must be a nonempty list of matrices")
+    if len(effects[0]) != dim:
+        raise DimMismatch(f"{path}: declared dim {dim}, first effect has {len(effects[0])} rows")
     return raw, dim
 
 

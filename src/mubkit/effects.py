@@ -79,14 +79,12 @@ class Effect:
     def is_sharp(self, tol: float | None = None) -> bool:
         """True when every eigenvalue sits at 0 or 1 within ``tol``."""
         _, tol = linalg.tols(self.dim, tol)
-        w = self._spectral.eigenvalues
-        return bool(np.all((np.abs(w) <= tol) | (np.abs(w - 1.0) <= tol)))
+        return sharp_spectra(self._spectral.eigenvalues, tol)
 
     def is_atomic(self, tol: float | None = None) -> bool:
         """True for rank-one projections: sharp with exactly one unit eigenvalue."""
         _, tol = linalg.tols(self.dim, tol)
-        w = self._spectral.eigenvalues
-        return self.is_sharp(tol) and int(np.sum(np.abs(w - 1.0) <= tol)) == 1
+        return atomic_spectra(self._spectral.eigenvalues, tol)
 
     def is_invertible(self, tol: float | None = None) -> bool:
         """True when every eigenvalue is at least ``tol``."""
@@ -101,6 +99,19 @@ class Effect:
 
     def __repr__(self) -> str:
         return f"Effect(dim={self.dim})"
+
+
+def sharp_spectra(w: np.ndarray, tol: float) -> bool:
+    """Whether every eigenvalue in ``w``, one spectrum or a stack of them,
+    sits at 0 or 1 within ``tol``."""
+    return bool(np.all((np.abs(w) <= tol) | (np.abs(w - 1.0) <= tol)))
+
+
+def atomic_spectra(w: np.ndarray, tol: float) -> bool:
+    """Whether every spectrum in ``w`` (along its last axis) is sharp with
+    exactly one eigenvalue at 1 within ``tol``."""
+    units = np.abs(w - 1.0) <= tol
+    return sharp_spectra(w, tol) and bool(np.all(units.sum(axis=-1) == 1))
 
 
 def effect_new(matrix, tol: float | None = None) -> Effect:

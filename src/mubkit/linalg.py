@@ -75,14 +75,41 @@ def hermiticity_defect(m: np.ndarray) -> float:
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
-    """(M + M*) / 2, of a matrix or of every matrix in a stack."""
-    return (m + np.swapaxes(m, -1, -2).conj()) / 2.0
+    """(M + M*) / 2, of a matrix or of every matrix in a stack.
+
+    Made in place on one C-ordered copy of the transposed view: conjugate,
+    add M, halve. Addition commutes, so the bits are those of (M + M*) / 2.
+    """
+    out = np.swapaxes(m, -1, -2).copy()
+    np.conjugate(out, out=out)
+    out += m
+    out /= 2.0
+    return out
 
 
-def quadratic_forms(vectors: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """v_k* M_y v_k for every column v_k of ``vectors`` (d, K) and every
-    matrix M_y of ``stack`` (n, d, d), as an (n, K) complex array."""
-    return np.einsum("yik,ik->yk", stack @ vectors, vectors.conj())
+def projections(vectors: np.ndarray) -> np.ndarray:
+    """v_k v_k* for every column v_k of ``vectors`` (d, K), as one C-ordered
+    (K, d, d) stack."""
+    v = vectors.T
+    return np.multiply(v[:, :, None], v.conj()[:, None, :], order="C")
+
+
+def real_rows(stack: np.ndarray) -> np.ndarray:
+    """A C-ordered complex (n, d, d) stack as n real rows of length 2 d^2:
+    a float view, interleaving each entry's real and imaginary parts."""
+    return stack.reshape(len(stack), stack.shape[-2] * stack.shape[-1]).view(float)
+
+
+def frobenius(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Re <L_i, R_k> = Re tr(L_i* R_k) for every matrix L_i of ``left``
+    (n, d, d) and R_k of ``right`` (K, d, d), both C-ordered, as an (n, K)
+    real array.
+
+    Re <L, R> = sum_ij (Re L_ij Re R_ij + Im L_ij Im R_ij), so this is one
+    real (n, 2d^2) x (2d^2, K) product of the stacks' float views. For
+    R = v v*, it is Re v* L v.
+    """
+    return real_rows(left) @ real_rows(right).T
 
 
 class SpectralDecomposition(NamedTuple):

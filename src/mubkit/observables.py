@@ -17,7 +17,14 @@ from typing import Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from . import linalg
-from .effects import Effect, State, occurrence_probability, seq_product
+from .effects import (
+    Effect,
+    State,
+    atomic_spectra,
+    occurrence_probability,
+    seq_product,
+    sharp_spectra,
+)
 from .errors import (
     DimMismatch,
     DuplicateLabel,
@@ -34,7 +41,7 @@ PRODUCT_SEP = "⊗"  # the symbol joining outcome labels of a product observable
 class Observable:
     """Effects A_x indexed by string outcome labels, with sum(A_x) = I."""
 
-    __slots__ = ("outcomes", "effects", "dim", "_stack")
+    __slots__ = ("outcomes", "effects", "dim", "_stack", "_spectra")
 
     def __init__(self, outcomes: Sequence[str], effects, tol: float | None = None):
         labels = tuple(str(x) for x in outcomes)
@@ -69,6 +76,7 @@ class Observable:
         self.effects = tuple(validated)
         self.dim = dim
         self._stack = None
+        self._spectra = None
 
     def __len__(self) -> int:
         return len(self.outcomes)
@@ -91,11 +99,21 @@ class Observable:
             self._stack = linalg.freeze(np.stack(self.matrices()))
         return self._stack
 
+    def spectra(self) -> np.ndarray:
+        """Every effect's eigenvalues, ascending, as one read-only (m, d) array, built once."""
+        if self._spectra is None:
+            self._spectra = linalg.freeze(np.stack([e.spectral.eigenvalues for e in self.effects]))
+        return self._spectra
+
     def is_sharp(self, tol: float | None = None) -> bool:
-        return all(e.is_sharp(tol) for e in self.effects)
+        """Every effect is sharp (``Effect.is_sharp``), read from ``spectra``."""
+        _, tol = linalg.tols(self.dim, tol)
+        return sharp_spectra(self.spectra(), tol)
 
     def is_atomic(self, tol: float | None = None) -> bool:
-        return all(e.is_atomic(tol) for e in self.effects)
+        """Every effect is atomic (``Effect.is_atomic``), read from ``spectra``."""
+        _, tol = linalg.tols(self.dim, tol)
+        return atomic_spectra(self.spectra(), tol)
 
     def __repr__(self) -> str:
         return f"Observable(dim={self.dim}, outcomes={list(self.outcomes)!r})"
@@ -162,29 +180,28 @@ def products(a: Observable, b: Observable) -> Products:
     (1)'s worst deviation from A_x / n and into the running sum (B|A)_y.
 
     The one place that chooses how a product is made. For an effect whose
-    rank factor has r = 1, A_x o B_y = c_y v v* with c_y = w v* B_y v: one
-    real number per y, all from one stacked product. The deviation from
-    A_x / n is convex in c_y, so its max over y sits at the smallest or the
-    largest c_y, and these effects add to (B|A) as one (V diag(c_y)) V* per
-    y. Other effects lift sqrt(A_x) B_y sqrt(A_x), stacked over y. Both
-    paths act through B's Hermitian part, as the symmetrized
-    ``effects.seq_matrix`` does.
+    rank factor has r = 1, A_x o B_y = c_xy P_x with P_x = v v* and
+    c_xy = w_x Re <B_y, P_x>: one real number per product. The projections
+    of all such effects form one C-ordered stack P, and both O(d^4) steps
+    are real GEMMs over its float view: the coefficients are one
+    (n, 2d^2) x (2d^2, K) product (``linalg.frobenius``), and their part of
+    (B|A) is c @ P, one (n, K) x (K, 2d^2) product. The deviation from
+    A_x / n is convex in c_xy, so its max over y sits at the smallest or
+    the largest c_xy, evaluated on the same P. Other effects lift
+    sqrt(A_x) B_y sqrt(A_x), stacked over y. Both paths act through B's
+    Hermitian part, as the symmetrized ``effects.seq_matrix`` does.
     """
     scale = 1.0 / len(b)
     worst = np.zeros(len(a))
     where = np.zeros(len(a), dtype=int)
     ones = [x for x, e in enumerate(a.effects) if len(e.factor()[1]) == 1]
     vectors = np.empty((a.dim, len(ones)), dtype=complex)
-    frames = np.empty_like(vectors)
     for k, x in enumerate(ones):
-        v, s = a.effects[x].factor()
-        vectors[:, k] = v[:, 0]
-        frames[:, k] = v[:, 0] * s[0]
-    coeffs = linalg.quadratic_forms(frames, b.stack()).real
-    total = (vectors * coeffs[:, None, :]) @ vectors.conj().T
+        vectors[:, k] = a.effects[x].factor()[0][:, 0]
+    projections = linalg.projections(vectors)
+    coeffs = linalg.frobenius(b.stack(), projections) * a.spectra()[ones, -1]
+    total = (coeffs @ linalg.real_rows(projections)).view(complex).reshape(len(b), a.dim, a.dim)
     if ones:
-        v = vectors.T
-        projections = v[:, :, None] * v.conj()[:, None, :]
         targets = scale * a.stack()[ones]
         cols = np.arange(len(ones))
         lo, hi = coeffs.argmin(axis=0), coeffs.argmax(axis=0)

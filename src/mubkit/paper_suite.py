@@ -82,6 +82,13 @@ MIXED_PRODUCT = np.array([[2, 1 + 1j, 0, 0],
 CROSS_WITNESS = np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2.0)
 
 
+def _require(cond, msg: str = "") -> None:
+    """A fixture check that also runs under ``python -O``, which strips
+    ``assert``; it raises the same AssertionError, so details are unchanged."""
+    if not cond:
+        raise AssertionError(msg)
+
+
 def _pm(dim):
     return position_observable(dim), momentum_observable(dim)
 
@@ -108,7 +115,7 @@ def _identity(detail: str, pairs: Callable) -> Callable:
     ``detail`` is formatted with the worst entrywise deviation."""
     def fixture(seed):
         worst = max(linalg.max_abs(np.asarray(got) - np.asarray(want)) for got, want in pairs())
-        assert worst <= TIGHT, f"deviation {worst:.3e} exceeds {TIGHT:.3e}"
+        _require(worst <= TIGHT, f"deviation {worst:.3e} exceeds {TIGHT:.3e}")
         return detail.format(worst)
     return fixture
 
@@ -118,31 +125,31 @@ def _verdicts(check: Callable, detail: str) -> Callable:
     witness on the mismatched one; ``detail`` gets the failing deviation."""
     def fixture(seed):
         full, matched, mismatched = _worked_pairs()
-        assert check(*full).holds and check(*matched).holds
+        _require(check(*full).holds and check(*matched).holds)
         v = check(*mismatched)
-        assert not v.holds and v.witness is not None and not v.vacuous
+        _require(not v.holds and v.witness is not None and not v.vacuous)
         return detail.format(v.max_deviation)
     return fixture
 
 
 def _fx_sharp_not_atomic(seed):
     for obs in example_partitions():
-        assert obs.is_sharp(), "merged observable should stay sharp"
-        assert not obs.is_atomic(), "rank-two projections are not atomic"
+        _require(obs.is_sharp(), "merged observable should stay sharp")
+        _require(not obs.is_atomic(), "rank-two projections are not atomic")
     return "all three merged observables sharp, none atomic"
 
 
 def _fx_conditioning_not_sharp(seed):
     q_half, _, p_half = example_partitions()
     cond = conditioned(p_half, q_half)
-    assert not cond.is_sharp(), "conditioning should break sharpness here"
+    _require(not cond.is_sharp(), "conditioning should break sharpness here")
     return "(P''|Q') is unsharp although P'' is sharp"
 
 
 def _fx_mu(seed):
     for dim in (2, 4, 8):
         v = analysis.check_mu(*_pm(dim))
-        assert v.holds, f"dim {dim}: deviation {v.max_deviation:.3e}"
+        _require(v.holds, f"dim {dim}: deviation {v.max_deviation:.3e}")
     return "position/momentum unbiased for dims 2, 4, 8"
 
 
@@ -151,40 +158,40 @@ def _fx_injected_witness(seed):
     rep = mc_value_complementarity(q_half, p_half, samples=50, seed=seed,
                                    inject=(CROSS_WITNESS,))
     hits = [r for r in rep.injected if r["side"] == "A" and r["certain_outcome"] == "0"]
-    assert hits, "witness never overlapped the first certainty subspace"
+    _require(hits, "witness never overlapped the first certainty subspace")
     observed = hits[0]["observed"]["0"]
-    assert abs(observed - 0.75) <= TIGHT, f"observed {observed}"
-    assert not rep.consistent
+    _require(abs(observed - 0.75) <= TIGHT, f"observed {observed}")
+    _require(not rep.consistent)
     return f"equal-weight witness sees probability {observed:.4f} (target 1/2)"
 
 
 def _fx_generalized_mu(seed):
     q_half, _, p_half = example_partitions()
     v = analysis.check_generalized_mu(q_half, p_half)
-    assert v.holds, f"deviation {v.max_deviation:.3e}"
-    assert abs(analysis.forced_alpha(q_half, p_half) - 1.0) == 0.0
+    _require(v.holds, f"deviation {v.max_deviation:.3e}")
+    _require(abs(analysis.forced_alpha(q_half, p_half) - 1.0) == 0.0)
     trivial = Observable(["0", "1", "2"], [np.eye(3, dtype=complex) / 3.0] * 3)
     diagonal = Observable(["0", "1", "2"],
                           [np.diag([0.5, 0.3, 0.2]).astype(complex),
                            np.diag([0.3, 0.4, 0.3]).astype(complex),
                            np.diag([0.2, 0.3, 0.5]).astype(complex)])
     v2 = analysis.check_generalized_mu(trivial, diagonal)
-    assert v2.holds and abs(analysis.forced_alpha(trivial, diagonal) - 1.0 / 3.0) <= TIGHT
+    _require(v2.holds and abs(analysis.forced_alpha(trivial, diagonal) - 1.0 / 3.0) <= TIGHT)
     return "alpha = 1 for the mismatched pair, 1/3 for uniform-vs-equal-trace"
 
 
 def _fx_classify(seed):
     full, matched, mismatched = (analysis.classify_pair(a, b) for a, b in _worked_pairs())
-    assert full.mu is not None and full.mu.holds
-    assert full.condition1.holds and full.condition2.holds
-    assert full.value_complementary.holds and full.generalized_mu.holds
-    assert matched.mu is None
-    assert matched.condition1.holds and matched.condition2.holds
-    assert matched.value_complementary.holds and matched.generalized_mu.holds
-    assert mismatched.mu is None
-    assert not mismatched.condition1.holds and not mismatched.condition2.holds
-    assert not mismatched.value_complementary.holds
-    assert mismatched.generalized_mu.holds and mismatched.alpha == 1.0
+    _require(full.mu is not None and full.mu.holds)
+    _require(full.condition1.holds and full.condition2.holds)
+    _require(full.value_complementary.holds and full.generalized_mu.holds)
+    _require(matched.mu is None)
+    _require(matched.condition1.holds and matched.condition2.holds)
+    _require(matched.value_complementary.holds and matched.generalized_mu.holds)
+    _require(mismatched.mu is None)
+    _require(not mismatched.condition1.holds and not mismatched.condition2.holds)
+    _require(not mismatched.value_complementary.holds)
+    _require(mismatched.generalized_mu.holds and mismatched.alpha == 1.0)
     return "three reference reports match expectations"
 
 
@@ -193,16 +200,16 @@ def _fx_partition_criterion(seed):
     even = PartitionMap(outcomes, ("0", "1"), {"0": "0", "1": "0", "2": "1", "3": "1"})
     skew = PartitionMap(outcomes, ("0", "1"), {"0": "0", "1": "1", "2": "1", "3": "1"})
     ok = analysis.check_partition_criterion(even, even)
-    assert ok.holds and ok.constant == 4
+    _require(ok.holds and ok.constant == 4)
     bad = analysis.check_partition_criterion(skew, even)
-    assert not bad.holds and bad.products == (2, 6)
+    _require(not bad.holds and bad.products == (2, 6))
     return "2x2 blocks give constant 4; 1/3 split is rejected"
 
 
 def _fx_trivial(seed):
     trivial = Observable(["0", "1"], [np.eye(2, dtype=complex) / 2.0] * 2)
-    assert analysis.check_trivial(trivial)
-    assert not analysis.check_trivial(position_observable(2))
+    _require(analysis.check_trivial(trivial))
+    _require(not analysis.check_trivial(position_observable(2)))
     return "uniform observable trivial, position observable not"
 
 

@@ -13,13 +13,14 @@ from mubkit.analysis import classify_pair
 from mubkit.cli import (
     main,
     matrix_from_json,
+    matrix_to_json,
     observable_from_json,
     observable_to_json,
     parse_partition_spec,
     report_from_json,
     report_to_json,
 )
-from mubkit.errors import BadPartition
+from mubkit.errors import BadPartition, ParseError
 from mubkit.fourier import (
     example_partitions,
     fourier_matrix,
@@ -101,6 +102,27 @@ class TestConstruct:
         assert "unrecognized arguments: --tol" in capsys.readouterr().err
 
 
+class TestMatrixJson:
+    def test_round_trip_is_exact(self):
+        rng = np.random.default_rng(47)
+        m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        m[0, 0] = -0.0
+        got = matrix_from_json(json.loads(json.dumps(matrix_to_json(m))))
+        assert np.array_equal(got, m) and np.signbit(got[0, 0].real)
+        assert np.array_equal(matrix_from_json([[[1, -2]]]), [[1 - 2j]])
+
+    @pytest.mark.parametrize("rows", [
+        7, "ab", {"a": 1}, [], [[]], [[{}]],
+        [[[1.0, 0.0, 0.0]]], [[[1.0]]], [[[1.0, 0.0]], [[0.0, 0.0]]],
+        [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]],
+        [[["1", 0.0]]], [[[None, 0.0]]], [[[[1.0], 0.0]]], [[[True, 0.0]]], [[[0.0, False]]],
+        [[[10**400, 0.0]]],
+    ])
+    def test_malformed_matrices_are_parse_errors(self, rows):
+        with pytest.raises(ParseError):
+            matrix_from_json(rows)
+
+
 class TestCheck:
     def test_all_holds_exit_zero(self, files, capsys):
         code, out, err = run(["check", "all", str(files / "q4.json"),
@@ -161,8 +183,12 @@ class TestCheck:
         (["dim"], -1),
         (["dim"], True),
         (["effects", 0, 0, 0], [10**400, 0]),
+        (["effects", 0, 0, 0], [True, False]),
+        (["outcomes", 0], ["0"]),
+        (["outcomes", 0], 0),
     ], ids=["outcomes-not-list", "effects-not-list", "nan-entry",
-            "dim-string", "dim-null", "dim-list", "dim-negative", "dim-bool", "int-overflow"])
+            "dim-string", "dim-null", "dim-list", "dim-negative", "dim-bool", "int-overflow",
+            "bool-entry", "list-label", "int-label"])
     def test_malformed_fields_are_input_errors(self, files, capsys, path, value):
         doc = json.loads((files / "q4.json").read_text())
         target = doc
@@ -180,6 +206,28 @@ class TestCheck:
             assert len(lines) == 1 and lines[0].startswith("error:")
             if path == ["dim"]:
                 assert "positive integer" in lines[0]
+
+    @pytest.mark.parametrize("kind", ["deep-nesting", "not-utf8", "huge-int-literal",
+                                      "huge-dim", "dim-not-effect-size", "no-effects"])
+    def test_unparseable_files_are_input_errors(self, files, capsys, kind):
+        text = (files / "q4.json").read_text()
+        payload = {
+            "deep-nesting": b"[" * 200_000 + b"]" * 200_000,
+            "not-utf8": text.replace('"0"', '"\xe9"', 1).encode("latin-1"),
+            "huge-int-literal": text.replace('"dim": 4', '"dim": 1' + "0" * 5000).encode(),
+            "huge-dim": text.replace('"dim": 4', '"dim": 1' + "0" * 400).encode(),
+            "dim-not-effect-size": text.replace('"dim": 4', '"dim": 3').encode(),
+            "no-effects": json.dumps({"dim": 10**400, "outcomes": [], "effects": []}).encode(),
+        }[kind]
+        bad = files / "bad.json"
+        bad.write_bytes(payload)
+        for argv in (["check", "all", str(bad), str(bad)],
+                     ["check", "all", str(files / "q4.json"), str(bad)],
+                     ["coarse-grain", str(bad), "0,1|2,3"]):
+            code, out, err = run(argv, capsys)
+            assert code == 2 and out == ""
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:")
 
     def test_overflowing_effect_is_input_error(self, files, capsys):
         # finite entries, but (M + M*)/2 overflows (Hermitian case) or M - M*
@@ -326,6 +374,26 @@ class TestPaperSuite:
         assert obj["fixtures"][1] == {"name": "broken-row", "passed": False,
                                       "detail": "KeyError: 'no such effect'"}
         assert "broken-row" in err and "FAIL" in err and "1/2 fixtures passed" in err
+
+    def test_checks_run_under_optimize(self, tmp_path):
+        # python -O strips assert statements; a corrupted fixture must still fail
+        script = textwrap.dedent("""
+            import sys
+            from mubkit import paper_suite
+            if sys.flags.optimize != 1:
+                sys.exit("expected python -O")
+            paper_suite.F4 = paper_suite.F4 * 1.5
+            for r in paper_suite.run_paper_suite():
+                print(r.name, r.passed, r.detail)
+        """)
+        proc = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True,
+                              text=True, cwd=tmp_path, env=_subprocess_env())
+        assert proc.returncode == 0, proc.stderr
+        rows = {line.split(" ", 1)[0]: line for line in proc.stdout.splitlines()}
+        assert len(rows) == len(PAPER_SUITE_NAMES)
+        assert rows["fourier-matrix-dim4"].startswith(
+            "fourier-matrix-dim4 False AssertionError: deviation 2.500e-01 exceeds 1.000e-12")
+        assert sum(" True " in line for line in rows.values()) == len(PAPER_SUITE_NAMES) - 1
 
     def test_negative_seed_is_input_error(self, capsys):
         code, out, err = run(["paper-suite", "--seed", "-1"], capsys)

@@ -184,3 +184,49 @@ def test_hermiticity_defect_does_not_overflow():
         assert linalg.hermiticity_defect(m / 2.0) == 1e308
         with pytest.raises(NotHermitian, match="asymmetry inf"):
             linalg.hermitian_eig(m)
+
+
+def _random_complex(shape, rng):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def test_hermitian_part_has_the_bits_of_the_formula():
+    rng = np.random.default_rng(37)
+    square = _random_complex((5, 5), rng)
+    stack = _random_complex((4, 6, 6), rng)
+    frozen = linalg.freeze(stack.copy())
+    strided = _random_complex((3, 14, 14), rng)[:, ::2, 1::2]  # non-contiguous 7 x 7
+    for m in (square, stack, frozen, strided, stack.transpose(0, 2, 1)):
+        expected = (m + np.swapaxes(m, -1, -2).conj()) / 2.0
+        got = linalg.hermitian_part(m)
+        assert np.array_equal(got, expected)
+        assert got.flags.c_contiguous and got.flags.writeable
+    assert np.array_equal(frozen, stack)  # the input is not written
+
+
+def test_projections_stack_is_c_ordered_outer_products():
+    rng = np.random.default_rng(41)
+    v = _random_complex((5, 3), rng)
+    p = linalg.projections(v)
+    assert p.shape == (3, 5, 5) and p.flags.c_contiguous
+    for k in range(3):
+        assert np.array_equal(p[k], np.outer(v[:, k], v[:, k].conj()))
+    assert linalg.projections(np.empty((4, 0), dtype=complex)).shape == (0, 4, 4)
+
+
+def test_frobenius_of_projections_is_the_quadratic_form():
+    # Re v* S_y v by an explicit loop, over unit vectors and effect-sized S:
+    # effects, and non-Hermitian matrices of like scale
+    rng = np.random.default_rng(43)
+    for dim, n, k in ((2, 1, 1), (5, 3, 4), (8, 6, 2), (16, 4, 16)):
+        v = _random_complex((dim, k), rng)
+        v /= np.linalg.norm(v, axis=0)
+        stacks = (np.stack([random_effect(dim, rng) for _ in range(n)]),
+                  _random_complex((n, dim, dim), rng) / (2 * dim))
+        for s in stacks:
+            got = linalg.frobenius(s, linalg.projections(v))
+            expected = np.array([[(v[:, j].conj() @ s[y] @ v[:, j]).real for j in range(k)]
+                                 for y in range(n)])
+            assert got.shape == (n, k)
+            assert np.max(np.abs(got - expected)) <= 1e-15
+        assert linalg.frobenius(stacks[0], linalg.projections(v[:, :0])).shape == (n, 0)

@@ -30,6 +30,7 @@ from mubkit.observables import (
     observable_new,
 )
 from mubkit.oracle import random_observable, random_state, random_unitary
+from test_differential import KINDS, build_pair
 
 COND_HALF_0 = np.array([[2, 1 + 1j, 0, 0],
                         [1 - 1j, 2, 0, 0],
@@ -307,6 +308,33 @@ class TestConjugate:
         same = conjugate(q, np.eye(3, dtype=complex))
         for got, want in zip(same.effects, q.effects):
             assert linalg.max_abs(got.matrix - want.matrix) < 1e-15
+
+
+class TestStackedPredicates:
+    """``Observable.is_sharp`` and ``is_atomic`` read one eigenvalue stack;
+    they must equal the per-effect loop they replaced."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_match_the_per_effect_loop(self, kind):
+        seen = set()
+        for dim in range(2, 8):
+            for seed in range(3):
+                for obs in build_pair(kind, dim, seed):
+                    for tol in (None, 1e-6, 1e-12):
+                        sharp = obs.is_sharp(tol)
+                        atomic = obs.is_atomic(tol)
+                        assert sharp == all(e.is_sharp(tol) for e in obs.effects)
+                        assert atomic == all(e.is_atomic(tol) for e in obs.effects)
+                        seen.add((sharp, atomic))
+        if kind == "snap-band-vs-momentum":
+            # 1 - 5e-10 is a unit eigenvalue within 1e-6, not within 1e-12
+            assert {(True, True), (False, False)} <= seen
+
+    def test_spectra_is_one_frozen_stack(self):
+        obs = random_observable(4, 3, "unsharp", np.random.default_rng(3))
+        w = obs.spectra()
+        assert w is obs.spectra() and not w.flags.writeable
+        assert np.array_equal(w, [e.spectral.eigenvalues for e in obs.effects])
 
 
 BELL = {0: 1, 1: 1, 2: 2, 3: 5, 4: 15, 5: 52}
