@@ -57,7 +57,8 @@ from typing import Any
 import numpy as np
 
 from . import linalg
-from .errors import DimMismatch, InternalInconsistency, NotAtomic
+from .effects import require_same_dim
+from .errors import InternalInconsistency, NotAtomic
 from .observables import Observable, PartitionMap, products
 
 
@@ -102,18 +103,13 @@ class PartitionCriterion:
     products: tuple[int, ...]
 
 
-def _require_pair(a: Observable, b: Observable) -> None:
-    if a.dim != b.dim:
-        raise DimMismatch(f"dims {a.dim} and {b.dim} differ")
-
-
 def _trace_table(a: Observable, b: Observable) -> np.ndarray:
     """tr(A_x B_y), real part, as one (m, 2d^2) x (2d^2, n) real product.
 
     Re tr(A B) = sum_ij Re(A_ij conj(B*_ij)), so each effect is flattened
     to its interleaved real and imaginary parts, B's conjugate-transposed.
     """
-    return linalg.frobenius(a.stack(), np.ascontiguousarray(b.stack().conj().transpose(0, 2, 1)))
+    return linalg.frobenius(a.stack(), np.conjugate(b.stack().transpose(0, 2, 1), order="C"))
 
 
 def _trace_verdict(a: Observable, b: Observable, table: np.ndarray, target: float,
@@ -130,7 +126,7 @@ def _trace_verdict(a: Observable, b: Observable, table: np.ndarray, target: floa
 
 def check_mu(a: Observable, b: Observable, tol: float | None = None) -> Verdict:
     """Mutual unbiasedness tr(A_x B_y) = 1/d. Both observables must be atomic."""
-    _require_pair(a, b)
+    require_same_dim(a, b)
     mat_tol, eig_tol = linalg.tols(a.dim, tol)
     for name, obs in (("first", a), ("second", b)):
         if not obs.is_atomic(eig_tol):
@@ -163,13 +159,13 @@ def _product_verdicts(a: Observable, b: Observable, mat_tol: float) -> tuple[Ver
 
 def check_condition1(a: Observable, b: Observable, tol: float | None = None) -> Verdict:
     """A_x o B_y = (1/n) A_x and B_y o A_x = (1/m) B_y, entrywise."""
-    _require_pair(a, b)
+    require_same_dim(a, b)
     return _product_verdicts(a, b, linalg.tols(a.dim, tol)[0])[0]
 
 
 def check_condition2(a: Observable, b: Observable, tol: float | None = None) -> Verdict:
     """(B|A)_y = I/n and (A|B)_x = I/m, entrywise."""
-    _require_pair(a, b)
+    require_same_dim(a, b)
     return _product_verdicts(a, b, linalg.tols(a.dim, tol)[0])[1]
 
 
@@ -213,7 +209,7 @@ def check_value_complementary(a: Observable, b: Observable,
     possible (an extremal eigenvector of the compressed effect), together
     with the probability it observes.
     """
-    _require_pair(a, b)
+    require_same_dim(a, b)
     mat_tol, eig_tol = linalg.tols(a.dim, tol)
     worst = 0.0
     worst_case = None
@@ -259,7 +255,7 @@ def forced_alpha(a: Observable, b: Observable) -> float:
 
 def check_generalized_mu(a: Observable, b: Observable, tol: float | None = None) -> Verdict:
     """tr(A_x B_y) = d/(m n) for every outcome pair."""
-    _require_pair(a, b)
+    require_same_dim(a, b)
     mat_tol, _ = linalg.tols(a.dim, tol)
     return _trace_verdict(a, b, _trace_table(a, b), forced_alpha(a, b), mat_tol)
 
@@ -303,7 +299,7 @@ def classify_pair(a: Observable, b: Observable, tol: float | None = None) -> Pai
     is within 10x tolerance of passing, which is recorded as a 'marginal'
     flag instead.
     """
-    _require_pair(a, b)
+    require_same_dim(a, b)
     mat_tol, eig_tol = linalg.tols(a.dim, tol)
     table = _trace_table(a, b)
     both_atomic = a.is_atomic(eig_tol) and b.is_atomic(eig_tol)

@@ -11,16 +11,22 @@ class Effect:
     """A Hermitian operator with spectrum inside [0, 1] (within tolerance).
 
     Validation happens once, at construction, and computes the spectral
-    decomposition; it is kept on the instance so later predicate and square
-    root calls never re-diagonalize. Instances are immutable.
+    decomposition through ``linalg.hermitian_eigs`` (a stack of one here;
+    ``effects_of`` validates a whole stack): rank-one effects are certified
+    without ``eigh``. It is kept on the instance so later predicate and
+    square root calls never re-diagonalize. Instances are immutable.
     """
 
     __slots__ = ("matrix", "_spectral", "_factor", "_sqrt", "_complement")
 
     def __init__(self, matrix, tol: float | None = None):
         m = linalg.as_matrix(matrix)
-        mat_tol, eig_tol = linalg.tols(m.shape[0], tol)
-        spectral = linalg.hermitian_eig(m, mat_tol)
+        (spectral,) = linalg.hermitian_eigs(m[None], tol)
+        self._set(m, spectral, tol)
+
+    def _set(self, m: np.ndarray, spectral: linalg.SpectralDecomposition, tol: float | None) -> None:
+        """Check the spectrum lies in [0, 1] within the eigenvalue tolerance, then keep it."""
+        _, eig_tol = linalg.tols(m.shape[0], tol)
         w = spectral.eigenvalues
         if not (w[0] >= -eig_tol and w[-1] <= 1.0 + eig_tol):  # NaN fails too
             bad = w[0] if not w[0] >= -eig_tol else w[-1]
@@ -101,6 +107,25 @@ class Effect:
         return f"Effect(dim={self.dim})"
 
 
+def effects_of(stack: np.ndarray, tol: float | None = None) -> list[Effect]:
+    """Validate every matrix of a frozen (m, d, d) stack as an effect, in
+    one ``linalg.hermitian_eigs`` pass; each effect's matrix is a read-only
+    view of the stack. Raises the error of some invalid matrix, not
+    necessarily the first."""
+    out = []
+    for m, spectral in zip(stack, linalg.hermitian_eigs(stack, tol)):
+        e = Effect.__new__(Effect)
+        e._set(m, spectral, tol)
+        out.append(e)
+    return out
+
+
+def require_same_dim(a, b) -> None:
+    """Raise DimMismatch unless ``a`` and ``b`` (anything with a ``dim``) share a dimension."""
+    if a.dim != b.dim:
+        raise DimMismatch(f"dims {a.dim} and {b.dim} differ")
+
+
 def sharp_spectra(w: np.ndarray, tol: float) -> bool:
     """Whether every eigenvalue in ``w``, one spectrum or a stack of them,
     sits at 0 or 1 within ``tol``."""
@@ -131,8 +156,7 @@ def seq_matrix(a: Effect, b: Effect) -> np.ndarray:
     the reference checkers in ``oracle`` compare this matrix directly and
     only ``seq_product`` validates it.
     """
-    if a.dim != b.dim:
-        raise DimMismatch(f"dims {a.dim} and {b.dim} differ")
+    require_same_dim(a, b)
     r = a.sqrt() @ b.matrix @ a.sqrt()
     return (r + r.conj().T) / 2.0
 
@@ -147,8 +171,7 @@ def seq_product(a: Effect, b: Effect, tol: float | None = None) -> Effect:
 
 def commutes(a: Effect, b: Effect, tol: float | None = None) -> bool:
     """Whether AB = BA within ``tol`` (entrywise)."""
-    if a.dim != b.dim:
-        raise DimMismatch(f"dims {a.dim} and {b.dim} differ")
+    require_same_dim(a, b)
     mat_tol, _ = linalg.tols(a.dim, tol)
     return linalg.max_abs(a.matrix @ b.matrix - b.matrix @ a.matrix) <= mat_tol
 
@@ -190,8 +213,7 @@ class State:
 
 def occurrence_probability(rho: State, a: Effect, tol: float | None = None) -> float:
     """tr(rho A): probability of the effect in the state, clamped to [0, 1]."""
-    if rho.dim != a.dim:
-        raise DimMismatch(f"dims {rho.dim} and {a.dim} differ")
+    require_same_dim(rho, a)
     mat_tol, _ = linalg.tols(a.dim, tol)
     raw = linalg.trace(rho.matrix @ a.matrix)
     if abs(raw.imag) > mat_tol:

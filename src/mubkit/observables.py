@@ -8,6 +8,11 @@ coarse-graining validate with a 10x looser tolerance, since each entry
 accumulates roundoff from up to m*n sequential products. Predicates
 compare the unvalidated products of ``products`` instead: products and
 sums of valid effects need no second check.
+
+``Observable`` validates its raw matrices as one stack
+(``effects.effects_of``, hence ``linalg.hermitian_eigs``): rank-one
+effects are certified without ``eigh``, and the effects' matrices are
+views of the stack that ``Observable.stack`` returns.
 """
 from __future__ import annotations
 
@@ -21,6 +26,7 @@ from .effects import (
     Effect,
     State,
     atomic_spectra,
+    effects_of,
     occurrence_probability,
     seq_product,
     sharp_spectra,
@@ -52,30 +58,18 @@ class Observable:
             raise LabelMismatch(f"{len(labels)} labels for {len(effects)} effects")
         if not labels:
             raise LabelMismatch("observable needs at least one outcome")
-        validated = []
-        for x, e in zip(labels, effects):
-            if isinstance(e, Effect):
-                validated.append(e)
-                continue
-            try:
-                validated.append(Effect(e, tol))
-            except MubkitError as err:
-                raise NotAnEffect(f"outcome {x!r}: {err}") from err
+        validated, self._stack = _validated(labels, effects, tol)
         dims = {e.dim for e in validated}
         if len(dims) != 1:
             raise DimMismatch(f"effects have mixed dimensions {sorted(dims)}")
         dim = dims.pop()
         mat_tol, _ = linalg.tols(dim, tol)
-        total = np.zeros((dim, dim), dtype=complex)
-        for e in validated:
-            total = total + e.matrix
-        defect = linalg.max_abs(total - np.eye(dim))
+        defect = linalg.max_abs(sum(e.matrix for e in validated) - np.eye(dim))
         if defect > mat_tol:
             raise SumNotIdentity(f"effects sum misses identity by {defect:.3e} (tol {mat_tol:.3e})")
         self.outcomes = labels
         self.effects = tuple(validated)
         self.dim = dim
-        self._stack = None
         self._spectra = None
 
     def __len__(self) -> int:
@@ -94,7 +88,9 @@ class Observable:
         return tuple(e.matrix for e in self.effects)
 
     def stack(self) -> np.ndarray:
-        """The effect matrices as one read-only (m, d, d) array, built once."""
+        """The effect matrices as one read-only (m, d, d) array: the validated
+        stack whose views they are, or, when built from ``Effect`` objects,
+        stacked once on first use."""
         if self._stack is None:
             self._stack = linalg.freeze(np.stack(self.matrices()))
         return self._stack
@@ -117,6 +113,29 @@ class Observable:
 
     def __repr__(self) -> str:
         return f"Observable(dim={self.dim}, outcomes={list(self.outcomes)!r})"
+
+
+def _validated(labels: tuple[str, ...], effects, tol: float | None) -> tuple[list[Effect], np.ndarray | None]:
+    """The effects, validated, and the stack their matrices are views of.
+
+    Raw matrices of one shape are validated as one stack (``effects_of``).
+    ``Effect`` objects are kept as given; when there are any, or when the
+    stacked pass raises, the raw matrices go one by one, in order, so that
+    an error names the first invalid outcome.
+    """
+    if not any(isinstance(e, Effect) for e in effects):
+        try:
+            stack = linalg.as_stack(effects)
+            return effects_of(stack, tol), stack
+        except (MubkitError, ValueError, TypeError, OverflowError):
+            pass
+    validated = []
+    for x, e in zip(labels, effects):
+        try:
+            validated.append(e if isinstance(e, Effect) else Effect(e, tol))
+        except MubkitError as err:
+            raise NotAnEffect(f"outcome {x!r}: {err}") from err
+    return validated, None
 
 
 def observable_new(dim: int, outcomes: Sequence[str], matrices, tol: float | None = None) -> Observable:

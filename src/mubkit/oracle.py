@@ -18,8 +18,8 @@ from typing import Any, Sequence
 import numpy as np
 
 from . import linalg
-from .effects import State, seq_matrix
-from .errors import DimMismatch, InvalidParams
+from .effects import State, require_same_dim, seq_matrix
+from .errors import InvalidParams
 from .observables import Observable
 
 Seed = int | np.random.Generator
@@ -141,8 +141,7 @@ def mc_value_complementarity(a: Observable, b: Observable, samples: int, seed: S
     vectors, projected in and renormalized, evaluated first) and record
     how far the other side's outcome probabilities stray from uniform.
     """
-    if a.dim != b.dim:
-        raise DimMismatch(f"dims {a.dim} and {b.dim} differ")
+    require_same_dim(a, b)
     if samples < 1:
         raise InvalidParams(f"samples must be positive, got {samples!r}")
     mat_tol, eig_tol = linalg.tols(a.dim, tol)
@@ -209,8 +208,7 @@ def brute_trace_table(a: Observable, b: Observable) -> np.ndarray:
     Kept free of any shared helper with the analytic checkers so the two
     paths can disagree if either is wrong.
     """
-    if a.dim != b.dim:
-        raise DimMismatch(f"dims {a.dim} and {b.dim} differ")
+    require_same_dim(a, b)
     table = np.zeros((len(a), len(b)))
     for i, ax in enumerate(a.effects):
         for j, by in enumerate(b.effects):
@@ -221,8 +219,7 @@ def brute_trace_table(a: Observable, b: Observable) -> np.ndarray:
 def naive_condition1(a: Observable, b: Observable) -> dict[tuple[str, str, str], float]:
     """max_abs(A_x o B_y - A_x/n) and max_abs(B_y o A_x - B_y/m), keyed
     (side, x, y) with side "A∘B" or "B∘A": reference for condition (1)."""
-    if a.dim != b.dim:
-        raise DimMismatch(f"dims {a.dim} and {b.dim} differ")
+    require_same_dim(a, b)
     out = {}
     for x, ax in a.items():
         for y, by in b.items():
@@ -236,8 +233,7 @@ def naive_condition2(a: Observable, b: Observable) -> dict[tuple[str, str], floa
     """max_abs((B|A)_y - I/n) and max_abs((A|B)_x - I/m), keyed (side, outcome)
     with side "B|A" or "A|B", summing one product at a time: reference for
     condition (2)."""
-    if a.dim != b.dim:
-        raise DimMismatch(f"dims {a.dim} and {b.dim} differ")
+    require_same_dim(a, b)
     eye = np.eye(a.dim)
     out = {}
     for side, obs, given in (("B|A", b, a), ("A|B", a, b)):
@@ -253,8 +249,7 @@ def naive_value_complementary(a: Observable, b: Observable,
     eigenspace of F_x, keyed (side, x, y) with side "A" (F = A, S = B,
     target 1/n) or "B"; empty when no effect has a certainty subspace, the
     vacuous case. Reference for value complementarity."""
-    if a.dim != b.dim:
-        raise DimMismatch(f"dims {a.dim} and {b.dim} differ")
+    require_same_dim(a, b)
     _, eig_tol = linalg.tols(a.dim, tol)
     out = {}
     for side, first, second, target in (("A", a, b, 1.0 / len(b)),
