@@ -6,8 +6,6 @@ from .effects import (  # noqa: E402
     Effect,
     State,
     commutes,
-    complement,
-    effect_new,
     occurrence_probability,
     seq_product,
 )
@@ -60,8 +58,7 @@ from .oracle import (  # noqa: E402
 
 __all__ = [
     "__version__",
-    "Effect", "State", "commutes", "complement", "effect_new",
-    "occurrence_probability", "seq_product",
+    "Effect", "State", "commutes", "occurrence_probability", "seq_product",
     "CoexistenceWitness", "Distribution", "Observable", "PartitionMap",
     "coarse_grain", "coexistence_witness", "conditioned", "conjugate",
     "distribution", "iter_partition_maps", "iter_set_partitions",

@@ -27,23 +27,22 @@ the (m, n, d, d) array of all products is never built.
 
 * Conditions (1) and (2) read one product pass per ordered pair,
   ``observables.products``: it makes each A_x o B_y once and reduces it
-  into condition (1)'s worst deviation and the sum (B|A)_y. Atomic
-  effects (rank-one square-root factor, ``Effect.factor``) give
-  A_x o B_y = c_xy P_x with P_x = v v*, one number per product. The
-  projections form one stack, and the coefficients and their part of
-  (B|A) are two real GEMMs over its float view, so an atomic pair costs
-  O(d^4), not O(d^5); other effects are lifted to sqrt(A_x) B_y sqrt(A_x).
-* Value complementarity on a one-dimensional certainty subspace is
-  |Re u* B_y u - 1/n| max|u|^2, one such GEMM for all of them.
+  into condition (1)'s worst deviation and the sum (B|A)_y. A rank-one
+  effect A_x = w_x v v* (the split is read once from ``spectra``) gives
+  A_x o B_y = c_xy P_x with P_x = v v*, one number per product. Its line
+  table (``observables.line_table``) holds v and the forms Re <B_y, P_x>,
+  one real GEMM over the projection stack's float view, and their part
+  of (B|A) is one more, so an atomic pair costs O(d^4), not O(d^5); other
+  effects are lifted to sqrt(A_x) B_y sqrt(A_x).
+* Value complementarity on a certainty subspace that is a rank-one
+  effect's own line is |Re <B_y, P_x> - 1/n| max|v|^2, a column of that
+  line table; other certainty subspaces are compressed to k x k.
 * The trace table behind ``check_mu`` and ``check_generalized_mu`` is one
-  real (m, 2d^2) x (2d^2, n) product of the flattened stacks.
-
-The rank-one coefficients, the line-subspace forms and the trace table
-are all ``linalg.frobenius``: Re <L_i, R_k> for two stacks, one real GEMM
-over their float views.
+  real (m, 2d^2) x (2d^2, n) product of the flattened stacks; it and the
+  forms are ``linalg.frobenius`` calls.
 
 ``classify_pair`` builds the trace table and both product passes once and
-reads every verdict from them.
+reads every verdict from them, value complementarity included.
 
 Products are plain ``@``. Splitting the trace-table product into calls
 small enough for OpenBLAS to run on one thread was measured and gave no
@@ -59,7 +58,7 @@ import numpy as np
 from . import linalg
 from .effects import require_same_dim
 from .errors import InternalInconsistency, NotAtomic
-from .observables import Observable, PartitionMap, products
+from .observables import LineTable, Observable, PartitionMap, Products, line_table, products
 
 
 @dataclass(frozen=True)
@@ -134,9 +133,10 @@ def check_mu(a: Observable, b: Observable, tol: float | None = None) -> Verdict:
     return _trace_verdict(a, b, _trace_table(a, b), 1.0 / a.dim, mat_tol)
 
 
-def _product_verdicts(a: Observable, b: Observable, mat_tol: float) -> tuple[Verdict, Verdict]:
-    """Conditions (1) and (2), from one product pass per ordered pair."""
-    (dev_ab, y_of, given_a), (dev_ba, x_of, given_b) = products(a, b), products(b, a)
+def _product_verdicts(a: Observable, b: Observable, passes: tuple[Products, Products],
+                      mat_tol: float) -> tuple[Verdict, Verdict]:
+    """Conditions (1) and (2), from the product passes of (A, B) and (B, A)."""
+    (dev_ab, y_of, given_a, _), (dev_ba, x_of, given_b, _) = passes
     i, j = int(np.argmax(dev_ab)), int(np.argmax(dev_ba))
     if dev_ab[i] >= dev_ba[j]:
         worst = float(dev_ab[i])
@@ -160,37 +160,81 @@ def _product_verdicts(a: Observable, b: Observable, mat_tol: float) -> tuple[Ver
 def check_condition1(a: Observable, b: Observable, tol: float | None = None) -> Verdict:
     """A_x o B_y = (1/n) A_x and B_y o A_x = (1/m) B_y, entrywise."""
     require_same_dim(a, b)
-    return _product_verdicts(a, b, linalg.tols(a.dim, tol)[0])[0]
+    return _product_verdicts(a, b, (products(a, b), products(b, a)), linalg.tols(a.dim, tol)[0])[0]
 
 
 def check_condition2(a: Observable, b: Observable, tol: float | None = None) -> Verdict:
     """(B|A)_y = I/n and (A|B)_x = I/m, entrywise."""
     require_same_dim(a, b)
-    return _product_verdicts(a, b, linalg.tols(a.dim, tol)[0])[1]
+    return _product_verdicts(a, b, (products(a, b), products(b, a)), linalg.tols(a.dim, tol)[0])[1]
 
 
-def _certainty_deviations(bases: list[np.ndarray], stack: np.ndarray,
-                          target: float) -> list[np.ndarray]:
-    """For each certainty basis U (d x k): max_abs(P S_y P - target P) over y, P = U U*.
+def _certainty_deviations(first: Observable, second: Observable, target: float,
+                          eig_tol: float, table: LineTable | None) -> list[tuple[int, np.ndarray]]:
+    """(x, max_abs(P S_y P - target P) over y) for each x of ``first`` with a
+    certainty subspace (the eigenvalue-1 eigenspace of A_x, basis U,
+    P = U U*) other than {0}, in order; S_y are the effects of ``second``.
 
-    With k = 1 the matrix is (u* S_y u - target) u u*, whose entrywise
-    max is |u* S_y u - target| max_i |u_i|^2, read through S_y's Hermitian
-    part as Re <S_y, u u*>; all such subspaces take one ``linalg.frobenius``
-    product. Larger subspaces compress S_y to k x k and lift back.
+    On A_x's own line (one unit eigenvalue, the top one, and A_x rank one)
+    the matrix is (v* S_y v - target) v v*, of entrywise max
+    |Re <S_y, v v*> - target| max_i |v_i|^2: a column of ``table``, the
+    line table of (first, second), built here if it is needed and not
+    given. Every other subspace compresses S_y to k x k and lifts back.
     """
-    devs: list[np.ndarray] = [np.empty(0)] * len(bases)
-    lines = [i for i, u in enumerate(bases) if u.shape[1] == 1]
-    if lines:
-        u = np.concatenate([bases[i] for i in lines], axis=1)
-        forms = linalg.frobenius(stack, linalg.projections(u))
-        table = np.abs(forms - target) * np.max(np.abs(u), axis=0) ** 2
-        for col, i in enumerate(lines):
-            devs[i] = table[:, col]
-    for i, u in enumerate(bases):
-        if u.shape[1] > 1:
-            core = u.conj().T @ stack @ u - target * np.eye(u.shape[1])
-            devs[i] = linalg.max_abs_each(u @ core @ u.conj().T)
-    return devs
+    units = np.abs(first.spectra() - 1.0) <= eig_tol
+    counts = units.sum(axis=-1)
+    certain = counts.nonzero()[0].tolist()
+    line = (counts == 1) & units[:, -1]
+    devs = {}
+    if line.any():
+        table = line_table(first, second)[0] if table is None else table
+        own = line[table.index]
+        scale = np.max(np.abs(table.vectors[:, own]), axis=0) ** 2
+        closed = np.abs(table.forms[:, own] - target) * scale
+        devs = dict(zip(table.index[own].tolist(), closed.T))
+    for x in certain:
+        if x not in devs:
+            u = first.effects[x].spectral.eigenvectors[:, units[x]]  # unit_eigenspace(eig_tol)
+            core = u.conj().T @ second.stack() @ u - target * np.eye(u.shape[1])
+            devs[x] = linalg.max_abs_each(u @ core @ u.conj().T)
+    return [(x, devs[x]) for x in certain]
+
+
+def _complementarity_verdict(a: Observable, b: Observable, tol: float | None,
+                             tables: tuple[LineTable | None, LineTable | None]) -> Verdict:
+    """Value complementarity, reading the line tables of (A, B) and (B, A) when given."""
+    mat_tol, eig_tol = linalg.tols(a.dim, tol)
+    worst = 0.0
+    worst_case = None
+    found_subspace = False
+    for side, first, second, target, table in (("A", a, b, 1.0 / len(b), tables[0]),
+                                               ("B", b, a, 1.0 / len(a), tables[1])):
+        devs = _certainty_deviations(first, second, target, eig_tol, table)
+        found_subspace = found_subspace or bool(devs)
+        for x, dev in devs:
+            k = int(np.argmax(dev))
+            if dev[k] > worst:
+                worst = float(dev[k])
+                worst_case = (side, first, x, second, k, target)
+    if not found_subspace:
+        return Verdict(True, 0.0, None, vacuous=True)
+    witness = None
+    if worst > mat_tol:
+        side, first, x, second, y, target = worst_case
+        basis = first.effects[x].unit_eigenspace(eig_tol)
+        compressed = basis.conj().T @ second.effects[y].matrix @ basis
+        w, v = np.linalg.eigh((compressed + compressed.conj().T) / 2.0)
+        k = int(np.argmax(np.abs(w - target)))
+        state = basis @ v[:, k]
+        witness = {
+            "side": side,
+            "certain_outcome": first.outcomes[x],
+            "other_outcome": second.outcomes[y],
+            "state": tuple((float(z.real), float(z.imag)) for z in state),
+            "observed": float(w[k]),
+            "target": target,
+        }
+    return Verdict(worst <= mat_tol, worst, witness)
 
 
 def check_value_complementary(a: Observable, b: Observable,
@@ -210,42 +254,7 @@ def check_value_complementary(a: Observable, b: Observable,
     with the probability it observes.
     """
     require_same_dim(a, b)
-    mat_tol, eig_tol = linalg.tols(a.dim, tol)
-    worst = 0.0
-    worst_case = None
-    found_subspace = False
-    for side, first, second, target in (("A", a, b, 1.0 / len(b)),
-                                        ("B", b, a, 1.0 / len(a))):
-        certain = [(x, e.unit_eigenspace(eig_tol)) for x, e in first.items()]
-        certain = [(x, basis) for x, basis in certain if basis.shape[1]]
-        if not certain:
-            continue
-        found_subspace = True
-        devs = _certainty_deviations([basis for _, basis in certain],
-                                     second.stack(), target)
-        for (x, basis), dev in zip(certain, devs):
-            k = int(np.argmax(dev))
-            if dev[k] > worst:
-                worst = float(dev[k])
-                worst_case = (side, x, second.outcomes[k], basis, second.effects[k], target)
-    if not found_subspace:
-        return Verdict(True, 0.0, None, vacuous=True)
-    witness = None
-    if worst > mat_tol:
-        side, x, y, basis, fy, target = worst_case
-        compressed = basis.conj().T @ fy.matrix @ basis
-        w, v = np.linalg.eigh((compressed + compressed.conj().T) / 2.0)
-        k = int(np.argmax(np.abs(w - target)))
-        state = basis @ v[:, k]
-        witness = {
-            "side": side,
-            "certain_outcome": x,
-            "other_outcome": y,
-            "state": tuple((float(z.real), float(z.imag)) for z in state),
-            "observed": float(w[k]),
-            "target": target,
-        }
-    return Verdict(worst <= mat_tol, worst, witness)
+    return _complementarity_verdict(a, b, tol, (None, None))
 
 
 def forced_alpha(a: Observable, b: Observable) -> float:
@@ -304,8 +313,9 @@ def classify_pair(a: Observable, b: Observable, tol: float | None = None) -> Pai
     table = _trace_table(a, b)
     both_atomic = a.is_atomic(eig_tol) and b.is_atomic(eig_tol)
     mu = _trace_verdict(a, b, table, 1.0 / a.dim, mat_tol) if both_atomic else None
-    vc = check_value_complementary(a, b, tol)
-    c1, c2 = _product_verdicts(a, b, mat_tol)
+    passes = products(a, b), products(b, a)
+    vc = _complementarity_verdict(a, b, tol, (passes[0].lines, passes[1].lines))
+    c1, c2 = _product_verdicts(a, b, passes, mat_tol)
     gmu = _trace_verdict(a, b, table, forced_alpha(a, b), mat_tol)
 
     flags: list[str] = []

@@ -122,15 +122,6 @@ def dump_json(obj, out: str | None) -> None:
 
 # ------------------------------------------------------------------ report
 
-def _witness_to_json(w: dict | None) -> dict | None:
-    if w is None:
-        return None
-    out = dict(w)
-    if "state" in out:
-        out["state"] = [list(pair) for pair in out["state"]]
-    return out
-
-
 def _witness_from_json(w: dict | None) -> dict | None:
     if w is None:
         return None
@@ -146,7 +137,7 @@ def verdict_to_json(v: analysis.Verdict | None) -> dict | None:
     return {
         "holds": v.holds,
         "max_deviation": v.max_deviation,
-        "witness": _witness_to_json(v.witness),
+        "witness": v.witness,
         "vacuous": v.vacuous,
     }
 

@@ -139,16 +139,6 @@ def atomic_spectra(w: np.ndarray, tol: float) -> bool:
     return sharp_spectra(w, tol) and bool(np.all(units.sum(axis=-1) == 1))
 
 
-def effect_new(matrix, tol: float | None = None) -> Effect:
-    """Validate a matrix as an effect. Alias for the Effect constructor."""
-    return Effect(matrix, tol)
-
-
-def complement(a: Effect, tol: float | None = None) -> Effect:
-    """I - A; see ``Effect.complement``."""
-    return a.complement(tol)
-
-
 def seq_matrix(a: Effect, b: Effect) -> np.ndarray:
     """The matrix sqrt(A) B sqrt(A), symmetrized to shed roundoff asymmetry.
 

@@ -90,14 +90,6 @@ def max_abs_each(stack: np.ndarray) -> np.ndarray:
     return np.abs(stack).max(axis=(-2, -1))
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    """max |M - M*|, taken as 2 max |H - H*| with H = M/2 so that entries
-    near the float limit cannot overflow. Above the subnormal range the
-    halving is exact, so the bits are those of max |M - M*|."""
-    half = m * 0.5
-    return 2.0 * max_abs(half - half.conj().T)
-
-
 def hermitian_part(m: np.ndarray) -> np.ndarray:
     """(M + M*) / 2, of a matrix or of every matrix in a stack.
 

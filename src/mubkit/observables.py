@@ -84,15 +84,12 @@ class Observable:
         except ValueError:
             raise LabelMismatch(f"no outcome {label!r}") from None
 
-    def matrices(self) -> tuple[np.ndarray, ...]:
-        return tuple(e.matrix for e in self.effects)
-
     def stack(self) -> np.ndarray:
         """The effect matrices as one read-only (m, d, d) array: the validated
         stack whose views they are, or, when built from ``Effect`` objects,
         stacked once on first use."""
         if self._stack is None:
-            self._stack = linalg.freeze(np.stack(self.matrices()))
+            self._stack = linalg.freeze(np.stack([e.matrix for e in self.effects]))
         return self._stack
 
     def spectra(self) -> np.ndarray:
@@ -186,39 +183,61 @@ def obs_seq_product(a: Observable, b: Observable, tol: float | None = None) -> O
     return Observable(labels, prods, 10 * base)
 
 
+class LineTable(NamedTuple):
+    """The rank-one effects of A as lines v v*, against every effect of B."""
+
+    index: np.ndarray    # (K,): the x whose A_x is rank one, ascending
+    vectors: np.ndarray  # (d, K): their unit vectors v, A_x's top eigenvector
+    forms: np.ndarray    # (n, K): Re <B_y, v v*>
+
+
+def line_table(a: Observable, b: Observable) -> tuple[LineTable, np.ndarray]:
+    """The line table of the ordered pair (A, B), and the (K, d, d)
+    projection stack P of its lines.
+
+    A_x is rank one when exactly one eigenvalue is at least
+    ``EIGENVALUE_TOL`` (the rule of ``Effect.factor``), counted for all x at
+    once over ``spectra``; v is that eigenvalue's eigenvector, the last
+    column. The forms are one real GEMM of B's stack against P's float view
+    (``linalg.frobenius``).
+    """
+    index = ((a.spectra() >= linalg.EIGENVALUE_TOL).sum(axis=-1) == 1).nonzero()[0]
+    vectors = np.empty((a.dim, len(index)), dtype=complex)
+    for k, x in enumerate(index.tolist()):
+        vectors[:, k] = a.effects[x].spectral.eigenvectors[:, -1]
+    projections = linalg.projections(vectors)
+    return LineTable(index, vectors, linalg.frobenius(b.stack(), projections)), projections
+
+
 class Products(NamedTuple):
     """Every sequential product A_x o B_y of a pair, reduced as it is made."""
 
     worst: np.ndarray        # (m,): max over y of max_abs(A_x o B_y - A_x / n)
     where: np.ndarray        # (m,): the y attaining it
     conditioned: np.ndarray  # (n, d, d): (B|A)_y = sum_x A_x o B_y, Hermitian, not validated
+    lines: LineTable         # the rank-one A_x against B, without their projections
 
 
 def products(a: Observable, b: Observable) -> Products:
     """Make every A_x o B_y once and reduce it as it is made: into condition
     (1)'s worst deviation from A_x / n and into the running sum (B|A)_y.
 
-    The one place that chooses how a product is made. For an effect whose
-    rank factor has r = 1, A_x o B_y = c_xy P_x with P_x = v v* and
-    c_xy = w_x Re <B_y, P_x>: one real number per product. The projections
-    of all such effects form one C-ordered stack P, and both O(d^4) steps
-    are real GEMMs over its float view: the coefficients are one
-    (n, 2d^2) x (2d^2, K) product (``linalg.frobenius``), and their part of
-    (B|A) is c @ P, one (n, K) x (K, 2d^2) product. The deviation from
-    A_x / n is convex in c_xy, so its max over y sits at the smallest or
-    the largest c_xy, evaluated on the same P. Other effects lift
+    The one place that chooses how a product is made. For a rank-one
+    effect A_x = w_x v v* (``line_table``), A_x o B_y = c_xy P_x with
+    P_x = v v* and c_xy = w_x Re <B_y, P_x>, one real number per product
+    from the table's forms. Their part of (B|A) is c @ P, one real
+    (n, K) x (K, 2d^2) GEMM over P's float view. The deviation from A_x / n
+    is convex in c_xy, so its max over y sits at the smallest or the
+    largest c_xy, evaluated on the same P. Other effects lift
     sqrt(A_x) B_y sqrt(A_x), stacked over y. Both paths act through B's
     Hermitian part, as the symmetrized ``effects.seq_matrix`` does.
     """
     scale = 1.0 / len(b)
     worst = np.zeros(len(a))
     where = np.zeros(len(a), dtype=int)
-    ones = [x for x, e in enumerate(a.effects) if len(e.factor()[1]) == 1]
-    vectors = np.empty((a.dim, len(ones)), dtype=complex)
-    for k, x in enumerate(ones):
-        vectors[:, k] = a.effects[x].factor()[0][:, 0]
-    projections = linalg.projections(vectors)
-    coeffs = linalg.frobenius(b.stack(), projections) * a.spectra()[ones, -1]
+    lines, projections = line_table(a, b)
+    ones = lines.index.tolist()
+    coeffs = lines.forms * a.spectra()[ones, -1]
     total = (coeffs @ linalg.real_rows(projections)).view(complex).reshape(len(b), a.dim, a.dim)
     if ones:
         targets = scale * a.stack()[ones]
@@ -238,7 +257,7 @@ def products(a: Observable, b: Observable) -> Products:
             where[x] = int(np.argmax(devs))
             worst[x] = devs[where[x]]
             total += lifts
-    return Products(worst, where, linalg.hermitian_part(total))
+    return Products(worst, where, linalg.hermitian_part(total), lines)
 
 
 def conditioned(b: Observable, a: Observable, tol: float | None = None) -> Observable:

@@ -367,6 +367,20 @@ class TestClassifyPair:
         assert not any(getattr(rep, k).holds for k in names)
         assert rep.alpha is None and rep.flags == ()
 
+    def test_atomic_pair_builds_each_line_table_once(self, monkeypatch):
+        # one projection stack per product pass, read again by value
+        # complementarity; frobenius: the trace table and the two passes' forms
+        a, b = helpers.mu_atomic_pair(8, 8)
+        calls = {"projections": 0, "frobenius": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(linalg, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(linalg, name, counted)
+        rep = classify_pair(a, b)
+        assert rep.value_complementary.holds and not rep.value_complementary.vacuous
+        assert calls == {"projections": 2, "frobenius": 3}
+
 
 class TestUserTolerance:
     """A tol= that accepts the inputs reaches every comparison in the checkers."""

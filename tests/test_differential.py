@@ -61,6 +61,13 @@ def uneven_position(dim, u):
     return conjugate(coarse_grain(q, pmap), u)
 
 
+def partial_certainty(dim, u):
+    """diag(1, 1/2, 0, ...) and its complement in the basis ``u``: a
+    certainty subspace that is one line of an effect that is not rank one."""
+    first = u @ np.diag(np.r_[1.0, 0.5, np.zeros(dim - 2)]) @ u.conj().T
+    return Observable(_labels(2), [first, np.eye(dim) - first])
+
+
 def build_pair(kind, dim, seed):
     rng = np.random.default_rng(seed)
     even = max(2, dim - dim % 2)
@@ -88,12 +95,14 @@ def build_pair(kind, dim, seed):
     if kind == "mixed-rank-vs-momentum":
         u = random_unitary(dim, rng)
         return uneven_position(dim, u), conjugate(momentum_observable(dim), u)
+    if kind == "partial-certainty":
+        return partial_certainty(dim, random_unitary(dim, rng)), momentum_observable(dim)
     raise AssertionError(kind)
 
 
 KINDS = ["mub", "random-atomic", "coarse-matched", "coarse-mismatched", "random-sharp",
          "unsharp", "atomic-vs-sharp", "halved-vs-atomic", "snap-band-vs-momentum",
-         "mixed-rank-vs-momentum"]
+         "mixed-rank-vs-momentum", "partial-certainty"]
 
 
 def trace_deviations(a, b, target):

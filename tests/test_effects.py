@@ -7,8 +7,6 @@ from mubkit.effects import (
     Effect,
     State,
     commutes,
-    complement,
-    effect_new,
     occurrence_probability,
     seq_product,
 )
@@ -60,80 +58,80 @@ def random_effect(dim, rng):
 
 class TestEffectValidation:
     def test_accepts_projection(self):
-        e = effect_new(Q0_DIM2)
+        e = Effect(Q0_DIM2)
         assert e.dim == 2
 
     def test_accepts_block_effect(self):
-        effect_new(P_HALF_0)
+        Effect(P_HALF_0)
 
     def test_rejects_spectrum_above_one(self):
         with pytest.raises(SpectrumOutOfRange):
-            effect_new(2.0 * np.eye(2, dtype=complex))
+            Effect(2.0 * np.eye(2, dtype=complex))
 
     def test_rejects_negative(self):
         with pytest.raises(SpectrumOutOfRange):
-            effect_new(np.diag([0.5, -0.2]).astype(complex))
+            Effect(np.diag([0.5, -0.2]).astype(complex))
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitian):
-            effect_new(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            Effect(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_rejects_nonsquare(self):
         with pytest.raises(DimMismatch):
-            effect_new(np.ones((2, 3)))
+            Effect(np.ones((2, 3)))
 
     @pytest.mark.parametrize("m", OVERFLOWING, ids=["off-diagonal", "diagonal", "dim3"])
     def test_rejects_overflowing_symmetrization(self, m):
         w = linalg.hermitian_eig(m).eigenvalues
         assert np.all(np.isfinite(w)) and w[-1] >= 1e308
         with pytest.raises(SpectrumOutOfRange, match="e\\+308"):
-            effect_new(m)
+            Effect(m)
 
     def test_tolerates_tiny_negative_eigenvalue(self):
-        effect_new(np.diag([0.5, -5e-10]).astype(complex))
+        Effect(np.diag([0.5, -5e-10]).astype(complex))
 
     def test_explicit_tol_is_single_knob(self):
         m = np.diag([1.0 + 5e-7, 0.0]).astype(complex)
-        effect_new(m, tol=1e-6)
+        Effect(m, tol=1e-6)
         with pytest.raises(SpectrumOutOfRange):
-            effect_new(m, tol=1e-8)
+            Effect(m, tol=1e-8)
 
     def test_matrix_frozen(self):
-        e = effect_new(Q0_DIM2)
+        e = Effect(Q0_DIM2)
         with pytest.raises(ValueError):
             e.matrix[0, 0] = 3
 
     def test_spectral_cached(self):
-        e = effect_new(P_HALF_0)
+        e = Effect(P_HALF_0)
         assert e.spectral is e.spectral
         assert e.sqrt() is e.sqrt()
 
 
 class TestComplement:
     def test_identity_to_zero(self):
-        comp = complement(effect_new(np.eye(3, dtype=complex)))
+        comp = Effect(np.eye(3, dtype=complex)).complement()
         assert linalg.max_abs(comp.matrix) == 0.0
 
     def test_parity_pair(self):
-        comp = complement(effect_new(P_PARITY_0))
+        comp = Effect(P_PARITY_0).complement()
         assert mat_approx_eq(comp.matrix, P_PARITY_1, tol=1e-15)
 
     def test_uniform(self):
-        comp = complement(effect_new(np.eye(2, dtype=complex) / 2.0))
+        comp = Effect(np.eye(2, dtype=complex) / 2.0).complement()
         assert mat_approx_eq(comp.matrix, np.eye(2) / 2.0, tol=1e-15)
 
     def test_double_complement_is_same_object(self):
-        e = effect_new(np.diag([0.3, 1e-18]).astype(complex))
+        e = Effect(np.diag([0.3, 1e-18]).astype(complex))
         assert e.complement().complement() is e
         assert np.array_equal(e.complement().complement().matrix, e.matrix)
 
     def test_tol_reaches_complement(self):
         m = np.diag([1.0 + 5e-7, 0.0]).astype(complex)
         with pytest.raises(SpectrumOutOfRange):
-            effect_new(m, tol=1e-6).complement()
-        comp = complement(effect_new(m, tol=1e-6), tol=1e-6)
+            Effect(m, tol=1e-6).complement()
+        comp = Effect(m, tol=1e-6).complement(tol=1e-6)
         assert comp.spectral.eigenvalues[0] == pytest.approx(-5e-7, abs=1e-15)
-        e = effect_new(m, tol=1e-6)
+        e = Effect(m, tol=1e-6)
         assert e.complement(tol=1e-6).complement() is e
         with pytest.raises(SpectrumOutOfRange):
             e.complement()
@@ -141,12 +139,12 @@ class TestComplement:
 
 class TestFactor:
     def test_projection_has_rank_one(self):
-        v, s = effect_new(P0_DIM2).factor()
+        v, s = Effect(P0_DIM2).factor()
         assert v.shape == (2, 1) and s == pytest.approx([1.0], abs=1e-15)
         assert mat_approx_eq(np.outer(v[:, 0], v[:, 0].conj()), P0_DIM2, tol=1e-15)
 
     def test_snap_band_is_dropped(self):
-        e = effect_new(np.diag([0.5, 5e-10, 0.0]).astype(complex))
+        e = Effect(np.diag([0.5, 5e-10, 0.0]).astype(complex))
         v, s = e.factor()
         assert v.shape == (3, 1) and s == pytest.approx([np.sqrt(0.5)], abs=1e-15)
 
@@ -161,33 +159,33 @@ class TestFactor:
 
 class TestSeqProduct:
     def test_position_momentum_dim2(self):
-        got = seq_product(effect_new(Q0_DIM2), effect_new(P0_DIM2))
+        got = seq_product(Effect(Q0_DIM2), Effect(P0_DIM2))
         assert mat_approx_eq(got.matrix, Q0_DIM2 / 2.0, tol=1e-14)
 
     def test_identity_neutral_both_sides(self):
         rng = np.random.default_rng(2)
         b = random_effect(4, rng)
-        eye = effect_new(np.eye(4, dtype=complex))
+        eye = Effect(np.eye(4, dtype=complex))
         assert mat_approx_eq(seq_product(eye, b).matrix, b.matrix, tol=1e-13)
         assert mat_approx_eq(seq_product(b, eye).matrix, b.matrix, tol=1e-13)
 
     def test_zero_absorbs(self):
-        zero = effect_new(np.zeros((3, 3), dtype=complex))
-        b = effect_new(np.eye(3, dtype=complex) / 3.0)
+        zero = Effect(np.zeros((3, 3), dtype=complex))
+        b = Effect(np.eye(3, dtype=complex) / 3.0)
         assert linalg.max_abs(seq_product(zero, b).matrix) < 1e-15
         assert linalg.max_abs(seq_product(b, zero).matrix) < 1e-15
 
     def test_mixed_block_product_fixture(self):
-        got = seq_product(effect_new(Q_HALF_0), effect_new(P_HALF_0))
+        got = seq_product(Effect(Q_HALF_0), Effect(P_HALF_0))
         assert mat_approx_eq(got.matrix, MIXED_PRODUCT, tol=1e-12)
 
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
-            seq_product(effect_new(np.eye(2, dtype=complex)), effect_new(np.eye(3, dtype=complex)))
+            seq_product(Effect(np.eye(2, dtype=complex)), Effect(np.eye(3, dtype=complex)))
 
     def test_noncommutative_example(self):
-        a = effect_new(Q0_DIM2)
-        b = effect_new(P0_DIM2)
+        a = Effect(Q0_DIM2)
+        b = Effect(P0_DIM2)
         ab = seq_product(a, b).matrix
         ba = seq_product(b, a).matrix
         assert linalg.max_abs(ab - ba) > 0.2
@@ -208,14 +206,14 @@ class TestSeqProduct:
         for dim in (2, 4, 7):
             v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
             v /= np.linalg.norm(v)
-            a = effect_new(np.outer(v, v.conj()))
+            a = Effect(np.outer(v, v.conj()))
             b = random_effect(dim, rng)
             expected = np.trace(a.matrix @ b.matrix).real * a.matrix
             assert linalg.max_abs(seq_product(a, b).matrix - expected) < 1e-12
 
     def test_dominated_by_sharp_first_factor(self):
         rng = np.random.default_rng(19)
-        proj = effect_new(np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex))
+        proj = Effect(np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex))
         b = random_effect(4, rng)
         gap = proj.matrix - seq_product(proj, b).matrix
         assert linalg.hermitian_eig(gap).eigenvalues[0] > -1e-12
@@ -223,16 +221,16 @@ class TestSeqProduct:
 
 class TestCommutes:
     def test_diagonal_pair(self):
-        assert commutes(effect_new(np.diag([1.0, 0.0]).astype(complex)),
-                        effect_new(np.diag([0.0, 1.0]).astype(complex)))
+        assert commutes(Effect(np.diag([1.0, 0.0]).astype(complex)),
+                        Effect(np.diag([0.0, 1.0]).astype(complex)))
 
     def test_position_momentum_do_not(self):
-        assert not commutes(effect_new(Q0_DIM2), effect_new(P0_DIM2))
+        assert not commutes(Effect(Q0_DIM2), Effect(P0_DIM2))
 
     def test_agreement_with_product_symmetry(self):
         rng = np.random.default_rng(23)
-        diag = effect_new(np.diag(rng.uniform(0, 1, 4)).astype(complex))
-        diag2 = effect_new(np.diag(rng.uniform(0, 1, 4)).astype(complex))
+        diag = Effect(np.diag(rng.uniform(0, 1, 4)).astype(complex))
+        diag2 = Effect(np.diag(rng.uniform(0, 1, 4)).astype(complex))
         assert commutes(diag, diag2)
         assert mat_approx_eq(seq_product(diag, diag2).matrix,
                                     seq_product(diag2, diag).matrix, tol=1e-13)
@@ -243,39 +241,39 @@ class TestCommutes:
 
 class TestPredicates:
     def test_projection_sharp_atomic(self):
-        e = effect_new(Q0_DIM2)
+        e = Effect(Q0_DIM2)
         assert e.is_sharp() and e.is_atomic()
         assert not e.is_invertible()
 
     def test_identity_sharp_not_atomic(self):
-        e = effect_new(np.eye(2, dtype=complex))
+        e = Effect(np.eye(2, dtype=complex))
         assert e.is_sharp() and not e.is_atomic()
         assert e.is_invertible()
 
     def test_uniform_invertible_not_sharp(self):
-        e = effect_new(np.eye(3, dtype=complex) / 3.0)
+        e = Effect(np.eye(3, dtype=complex) / 3.0)
         assert e.is_invertible() and not e.is_sharp()
 
     def test_rank_two_projection_not_atomic(self):
-        e = effect_new(P_HALF_0)
+        e = Effect(P_HALF_0)
         assert e.is_sharp() and not e.is_atomic()
 
     def test_classification_tolerance_boundary(self):
-        e = effect_new(np.diag([1.0 - 5e-10, 0.0]).astype(complex))
+        e = Effect(np.diag([1.0 - 5e-10, 0.0]).astype(complex))
         assert e.is_sharp()
-        assert not effect_new(np.diag([1.0 - 1e-6, 0.0]).astype(complex)).is_sharp()
+        assert not Effect(np.diag([1.0 - 1e-6, 0.0]).astype(complex)).is_sharp()
 
     def test_invertibility_threshold_is_tol(self):
-        e = effect_new(np.diag([0.5, 1e-12]).astype(complex))
+        e = Effect(np.diag([0.5, 1e-12]).astype(complex))
         assert not e.is_invertible()
         assert e.is_invertible(tol=1e-13)
 
     def test_unit_eigenspace(self):
-        basis = effect_new(Q_HALF_0).unit_eigenspace()
+        basis = Effect(Q_HALF_0).unit_eigenspace()
         assert basis.shape == (4, 2)
         span = basis @ basis.conj().T
         assert mat_approx_eq(span, Q_HALF_0, tol=1e-12)
-        assert effect_new(np.eye(4, dtype=complex) / 2.0).unit_eigenspace().shape == (4, 0)
+        assert Effect(np.eye(4, dtype=complex) / 2.0).unit_eigenspace().shape == (4, 0)
 
 
 class TestState:
@@ -308,11 +306,11 @@ class TestState:
 
 class TestOccurrenceProbability:
     def test_momentum_in_position_state(self):
-        val = occurrence_probability(State(Q0_DIM2), effect_new(P0_DIM2))
+        val = occurrence_probability(State(Q0_DIM2), Effect(P0_DIM2))
         assert val == pytest.approx(0.5, abs=1e-12)
 
     def test_eigenstate_certainty(self):
-        val = occurrence_probability(State.pure([1.0, 0.0]), effect_new(Q0_DIM2))
+        val = occurrence_probability(State.pure([1.0, 0.0]), Effect(Q0_DIM2))
         assert val == pytest.approx(1.0, abs=1e-12)
 
     def test_clamps_to_unit_interval(self):
@@ -325,10 +323,10 @@ class TestOccurrenceProbability:
 
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
-            occurrence_probability(State(Q0_DIM2), effect_new(np.eye(3, dtype=complex) / 3))
+            occurrence_probability(State(Q0_DIM2), Effect(np.eye(3, dtype=complex) / 3))
 
     def test_out_of_range_is_mubkit_value_error(self):
-        e = effect_new(np.diag([1.0 + 5e-7, 0.0]).astype(complex), tol=1e-6)
+        e = Effect(np.diag([1.0 + 5e-7, 0.0]).astype(complex), tol=1e-6)
         with pytest.raises(InvalidProbability) as info:
             occurrence_probability(State(Q0_DIM2), e)
         assert isinstance(info.value, MubkitError) and isinstance(info.value, ValueError)
