@@ -8,6 +8,15 @@ Every complex entry is a two-element array [re, im]; effect matrices are
 row-major. Reports wrap a full classification plus tool name/version, the
 input paths and the tolerance used, and round-trip losslessly.
 
+Every file and stdout document is exactly
+``json.dumps(doc, indent=2, ensure_ascii=False) + "\\n"``: one number per
+line. Matrices are not turned into nested lists for that: the writer reads
+the (m, d, d) complex stack through its [re, im] float view, formats each
+distinct float bit pattern once with ``float.__repr__``, picks the text
+between two numbers from how many trailing axes roll over there, and
+joins it all in one pass. Everything else (``dim``, labels, reports) goes
+through ``json.dumps``.
+
 Exit codes: 0 success (requested predicate holds), 1 predicate fails,
 2 input or validation error. Stdout carries JSON only; all human-oriented
 text goes to stderr.
@@ -41,12 +50,17 @@ ENV_TOL = "MUBKIT_TOL"
 
 # ---------------------------------------------------------------- encoding
 
-def _num(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
+def _float_pairs(m: np.ndarray) -> np.ndarray:
+    """The [re, im] float view of a complex array: shape (..., 2), the same bits.
+
+    The JSON list form (``.tolist()``) and the file writer both read it.
+    """
+    m = np.ascontiguousarray(m, dtype=complex)
+    return m.view(float).reshape(*m.shape, 2)
 
 
 def matrix_to_json(m: np.ndarray) -> list:
-    return [[_num(z) for z in row] for row in np.asarray(m, dtype=complex)]
+    return _float_pairs(m).tolist()
 
 
 def matrix_from_json(rows) -> np.ndarray:
@@ -77,12 +91,15 @@ def matrix_from_json(rows) -> np.ndarray:
         raise ParseError(f"matrix entries must be finite floats: {exc}") from exc
 
 
+def _observable_document(obs: Observable) -> dict:
+    """The fields of an observable file, with the effects as one float array."""
+    return {"dim": obs.dim, "outcomes": list(obs.outcomes), "effects": _float_pairs(obs.stack())}
+
+
 def observable_to_json(obs: Observable) -> dict:
-    return {
-        "dim": obs.dim,
-        "outcomes": list(obs.outcomes),
-        "effects": [matrix_to_json(e.matrix) for e in obs.effects],
-    }
+    doc = _observable_document(obs)
+    doc["effects"] = doc["effects"].tolist()
+    return doc
 
 
 def observable_from_json(obj, tol: float | None = None) -> Observable:
@@ -112,8 +129,50 @@ def load_json(path: str):
         raise ParseError(f"{path}: {exc}") from exc
 
 
+def _array_text(values: np.ndarray, level: int) -> str:
+    """A float64 array of nonzero extents as json.dumps(indent=2) lays out
+    its nested lists when they sit at nesting ``level``.
+
+    Each distinct bit pattern is formatted once by ``float.__repr__``, the
+    encoder's own float format (so -0.0 stays "-0.0"). The text between two
+    consecutive numbers depends only on how many trailing axes roll over
+    there: close that many lists, a comma, open as many again.
+    """
+    ndim = values.ndim
+    pad = ["\n" + "  " * (level + j) for j in range(ndim + 1)]
+    seps = ["".join(pad[j] + "]" for j in range(ndim - 1, ndim - 1 - r, -1)) + ","
+            + "".join(pad[j] + "[" for j in range(ndim - r, ndim)) + pad[ndim]
+            for r in range(ndim)]
+    rollover = np.zeros(values.shape, dtype=np.intp)
+    for k in range(1, ndim):
+        rollover[(Ellipsis,) + (0,) * k] += 1
+    bits, which = np.unique(values.view(np.int64), return_inverse=True)
+    numbers = np.array(list(map(float.__repr__, bits.view(float).tolist())), dtype=object)
+    parts = np.empty(2 * values.size + 1, dtype=object)
+    parts[0] = "[" + "".join(pad[j] + "[" for j in range(1, ndim)) + pad[ndim]
+    parts[1::2] = numbers[which.ravel()]
+    parts[2:-1:2] = np.array(seps, dtype=object)[rollover.ravel()[1:]]
+    parts[-1] = "".join(pad[j] + "]" for j in range(ndim - 1, -1, -1))
+    return "".join(parts.tolist())
+
+
+def _document_text(doc) -> str:
+    """``json.dumps(doc, indent=2, ensure_ascii=False)``, with the float
+    arrays among the values of a top-level dict written by ``_array_text``."""
+    if not (isinstance(doc, dict) and any(isinstance(v, np.ndarray) for v in doc.values())):
+        return json.dumps(doc, indent=2, ensure_ascii=False)
+    items = (json.dumps(key, ensure_ascii=False) + ": "
+             + (_array_text(value, 1) if isinstance(value, np.ndarray)
+                else json.dumps(value, indent=2, ensure_ascii=False).replace("\n", "\n  "))
+             for key, value in doc.items())
+    return "{\n  " + ",\n  ".join(items) + "\n}"
+
+
 def dump_json(obj, out: str | None) -> None:
-    text = json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+    """Write ``obj`` as indented JSON to the file ``out``, or to stdout when
+    it is None. The float arrays among a top-level dict's values (an
+    observable's effects, a Fourier matrix) are written as their nested lists."""
+    text = _document_text(obj) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:
@@ -235,15 +294,15 @@ def cmd_construct(args) -> int:
         second = ("pprime", p_parity) if args.kind == "example5" else ("pdprime", p_half)
         for tag, obs in (("qprime", q_half), second):
             path = f"{stem}.{tag}.json"
-            dump_json(observable_to_json(obs), path)
+            dump_json(_observable_document(obs), path)
             _info(f"wrote {path}")
         return 0
     if args.kind == "fourier":
-        obj = {"dim": n, "matrix": matrix_to_json(fourier_matrix(n))}
+        obj = {"dim": n, "matrix": _float_pairs(fourier_matrix(n))}
     elif args.kind == "position":
-        obj = observable_to_json(position_observable(n))
+        obj = _observable_document(position_observable(n))
     else:
-        obj = observable_to_json(momentum_observable(n))
+        obj = _observable_document(momentum_observable(n))
     dump_json(obj, args.out)
     if args.out is not None:
         _info(f"wrote {args.out}")
@@ -340,7 +399,7 @@ def cmd_coarse_grain(args) -> int:
     obs = observable_from_json(raw, tol)
     pmap = parse_partition_spec(args.partition, obs.outcomes)
     merged = coarse_grain(obs, pmap, tol)
-    dump_json(observable_to_json(merged), args.out)
+    dump_json(_observable_document(merged), args.out)
     if args.out is not None:
         _info(f"wrote {args.out}")
     return 0

@@ -5,12 +5,17 @@ import sys
 import textwrap
 import warnings
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mubkit
 from mubkit.analysis import classify_pair
 from mubkit.cli import (
+    dump_json,
+    load_observable_file,
     main,
     matrix_from_json,
     matrix_to_json,
@@ -27,6 +32,7 @@ from mubkit.fourier import (
     momentum_observable,
     position_observable,
 )
+from mubkit.observables import coarse_grain
 
 
 def run(argv, capsys):
@@ -121,6 +127,88 @@ class TestMatrixJson:
     def test_malformed_matrices_are_parse_errors(self, rows):
         with pytest.raises(ParseError):
             matrix_from_json(rows)
+
+
+def _pairs_by_entry(m) -> list:
+    """The [re, im] list form of a matrix, one entry at a time (the reference)."""
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m, dtype=complex)]
+
+
+def _json_text(doc) -> str:
+    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+
+
+def _observable_text(obs) -> str:
+    return _json_text({"dim": obs.dim, "outcomes": list(obs.outcomes),
+                       "effects": [_pairs_by_entry(e.matrix) for e in obs.effects]})
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+                -1.7976931348623157e308, 0.5, 1.0, 0.1]
+
+
+class TestFileText:
+    """Files and stdout are exactly json.dumps(doc, indent=2, ensure_ascii=False) + "\\n"."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=1, max_dims=4, min_side=1, max_side=4),
+        elements=st.one_of(st.sampled_from(_EDGE_FLOATS),
+                           st.floats(allow_nan=False, allow_infinity=False))))
+    def test_float_arrays_are_written_as_json_dumps(self, tmp_path_factory, values):
+        doc = {"dim": 3, "effects": values, "outcomes": ["0⊗1", "é", "\n\"x\""],
+               "nested": {"a": [1, {"b": []}], "c": {}}, "last": values[..., :1]}
+        expected = _json_text({key: value.tolist() if isinstance(value, np.ndarray) else value
+                               for key, value in doc.items()})
+        out = tmp_path_factory.mktemp("text") / "doc.json"
+        dump_json(doc, str(out))
+        assert out.read_bytes() == expected.encode("utf-8")
+
+    def test_list_forms_keep_every_bit(self):
+        m = np.array([[-0.0 + 5e-324j, 1.7976931348623157e308 - 0.0j], [0.1 + 0.2j, 1.0]])
+        assert json.dumps(matrix_to_json(m)) == json.dumps(_pairs_by_entry(m))
+        assert json.dumps(matrix_to_json(m.T)) == json.dumps(_pairs_by_entry(m.T))
+        q_half, _, _ = example_partitions()
+        assert _json_text(observable_to_json(q_half)) == _observable_text(q_half)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_construct_kinds(self, tmp_path, capsys, n):
+        for kind, expected in (
+                ("position", _observable_text(position_observable(n))),
+                ("momentum", _observable_text(momentum_observable(n))),
+                ("fourier", _json_text({"dim": n, "matrix": _pairs_by_entry(fourier_matrix(n))}))):
+            code, out, _ = run(["construct", kind, str(n)], capsys)
+            assert code == 0 and out == expected
+            path = tmp_path / f"{kind}.json"
+            assert run(["construct", kind, str(n), "--out", str(path)], capsys)[0] == 0
+            assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_example_kinds_and_coarse_grain(self, tmp_path, capsys):
+        q_half, p_parity, p_half = example_partitions()
+        for kind, second in (("example5", ("pprime", p_parity)), ("example6", ("pdprime", p_half))):
+            assert run(["construct", kind, "4", "--out", str(tmp_path / f"{kind}.json")], capsys)[0] == 0
+            for tag, obs in (("qprime", q_half), second):
+                assert (tmp_path / f"{kind}.{tag}.json").read_text("utf-8") == _observable_text(obs)
+        source = tmp_path / "p8.json"
+        main(["construct", "momentum", "8", "--out", str(source)])
+        spec = "0,2,4,6|1,3,5,7"
+        merged = coarse_grain(momentum_observable(8),
+                              parse_partition_spec(spec, momentum_observable(8).outcomes))
+        code, out, _ = run(["coarse-grain", str(source), spec], capsys)
+        assert code == 0 and out == _observable_text(merged)
+        path = tmp_path / "cg.json"
+        assert run(["coarse-grain", str(source), spec, "--out", str(path)], capsys)[0] == 0
+        assert path.read_text("utf-8") == out
+
+    def test_momentum_64_round_trip(self, tmp_path, capsys):
+        path = tmp_path / "p64.json"
+        assert run(["construct", "momentum", "64", "--out", str(path)], capsys)[0] == 0
+        raw, dim = load_observable_file(str(path))
+        want = momentum_observable(64)
+        assert dim == 64
+        assert np.array_equal(observable_from_json(raw).stack(), want.stack())
+        assert path.read_bytes() == _json_text(observable_to_json(want)).encode("utf-8")
 
 
 class TestCheck:
