@@ -21,9 +21,10 @@ Effect or Observable; only the public constructors (``seq_product``,
 ``conditioned``, ``coarse_grain``, ...) validate. So ``tol`` reaches every
 comparison a checker makes.
 
-The checkers are array programs over each observable's (m, d, d) stack,
-worked one outcome at a time so that extra memory stays O((m + n) d^2);
-the (m, n, d, d) array of all products is never built.
+The checkers are array programs over each observable's (m, d, d) stack.
+A product pass holds stacks of at most m or n matrices, so extra memory
+stays O((m + n) d^2); the (m, n, d, d) array of all products is never
+built.
 
 * Conditions (1) and (2) read one product pass per ordered pair,
   ``observables.products``: it makes each A_x o B_y once and reduces it
@@ -32,8 +33,10 @@ the (m, n, d, d) array of all products is never built.
   A_x o B_y = c_xy P_x with P_x = v v*, one number per product. Its line
   table (``observables.line_table``) holds v and the forms Re <B_y, P_x>,
   one real GEMM over the projection stack's float view, and their part
-  of (B|A) is one more, so an atomic pair costs O(d^4), not O(d^5); other
-  effects are lifted to sqrt(A_x) B_y sqrt(A_x).
+  of (B|A) is one more, so an atomic pair costs O(d^4), not O(d^5). Every
+  other effect is lifted to sqrt(A_x) B_y sqrt(A_x), all y at once in two
+  (n d x d) x (d x d) GEMMs; the bits equal n separate d x d products
+  only when d is a multiple of 4.
 * Value complementarity on a certainty subspace that is a rank-one
   effect's own line is |Re <B_y, P_x> - 1/n| max|v|^2, a column of that
   line table; other certainty subspaces are compressed to k x k.

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from helpers import mat_approx_eq
 from mubkit import linalg
-from mubkit.effects import Effect, State
+from mubkit.effects import Effect, State, seq_matrix
 from mubkit.errors import (
     DimMismatch,
     DuplicateLabel,
@@ -28,9 +28,10 @@ from mubkit.observables import (
     iter_set_partitions,
     obs_seq_product,
     observable_new,
+    products,
 )
 from mubkit.oracle import random_observable, random_state, random_unitary
-from test_differential import KINDS, build_pair
+from test_differential import KINDS, build_pair, partial_certainty, snap_band_basis
 
 COND_HALF_0 = np.array([[2, 1 + 1j, 0, 0],
                         [1 - 1j, 2, 0, 0],
@@ -335,6 +336,56 @@ class TestStackedPredicates:
         w = obs.spectra()
         assert w is obs.spectra() and not w.flags.writeable
         assert np.array_equal(w, [e.spectral.eigenvalues for e in obs.effects])
+
+
+def mixed_rank(dim, m, rng):
+    """m outcomes in a Haar basis: (1/m) v v* for x < m - 1, cycling
+    through the basis vectors, and the full-rank rest I - sum of them."""
+    u = random_unitary(dim, rng)
+    lines = [np.outer(u[:, x % dim], u[:, x % dim].conj()) / m for x in range(m - 1)]
+    return Observable([str(x) for x in range(m)], lines + [np.eye(dim) - sum(lines, np.zeros((dim, dim)))])
+
+
+LIFT_FACTOR_CASES = {
+    "unsharp": lambda dim, rng: random_observable(dim, 3, "unsharp", rng),
+    "sharp": lambda dim, rng: random_observable(dim, 2, "sharp", rng),
+    "snap-band": lambda dim, rng: snap_band_basis(random_unitary(dim, rng)),
+    "rank-deficient": lambda dim, rng: partial_certainty(dim, random_unitary(dim, rng)),
+}
+
+
+class TestProducts:
+    """``products`` against one ``seq_matrix`` per (x, y), at the sizes the
+    differential suite does not draw: n = 1 and row stacks past d = 7."""
+
+    @pytest.mark.parametrize("kind", ["unsharp", "mixed-rank"])
+    @pytest.mark.parametrize("dim", [1, 5, 8, 9, 16, 17, 32])
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_match_the_per_product_loop(self, kind, dim, n):
+        rng = np.random.default_rng(100 * dim + n)
+        a = random_observable(dim, n, "unsharp", rng) if kind == "unsharp" else mixed_rank(dim, n, rng)
+        b = random_observable(dim, n, "unsharp", rng)
+        got = products(a, b)
+        lifts = np.array([[seq_matrix(ax, by) for by in b.effects] for ax in a.effects])
+        devs = np.abs(lifts - a.stack()[:, None] / n).max(axis=(-2, -1))
+        assert np.abs(got.conditioned - lifts.sum(axis=0)).max() <= 1e-15
+        assert np.abs(got.worst - devs.max(axis=1)).max() <= 1e-15
+        assert np.abs(devs[np.arange(len(a)), got.where] - got.worst).max() <= 1e-15
+
+    @pytest.mark.parametrize("build", sorted(LIFT_FACTOR_CASES))
+    def test_lift_factors_are_exactly_hermitian(self, build):
+        """The lift takes R B_y as the adjoint of B_y R, which needs sqrt(A_x)
+        and the Hermitian part of B's stack Hermitian in every bit. The
+        effects are conjugated by a Haar unitary, so their own stack is not."""
+        def exactly_hermitian(m):
+            return np.array_equal(m, m.conj().swapaxes(-1, -2))
+
+        for dim in (3, 5, 8, 17):
+            rng = np.random.default_rng(dim)
+            obs = conjugate(LIFT_FACTOR_CASES[build](dim, rng), random_unitary(dim, rng))
+            assert not exactly_hermitian(obs.stack())
+            assert all(exactly_hermitian(e.sqrt()) for e in obs.effects)
+            assert exactly_hermitian(linalg.hermitian_part(obs.stack()))
 
 
 BELL = {0: 1, 1: 1, 2: 2, 3: 5, 4: 15, 5: 52}
