@@ -173,7 +173,7 @@ def check_condition2(a: Observable, b: Observable, tol: float | None = None) -> 
 
 
 def _certainty_deviations(first: Observable, second: Observable, target: float,
-                          eig_tol: float, table: LineTable | None) -> list[tuple[int, np.ndarray]]:
+                          eig_tol: float, table: LineTable) -> list[tuple[int, np.ndarray]]:
     """(x, max_abs(P S_y P - target P) over y) for each x of ``first`` with a
     certainty subspace (the eigenvalue-1 eigenspace of A_x, basis U,
     P = U U*) other than {0}, in order; S_y are the effects of ``second``.
@@ -181,8 +181,8 @@ def _certainty_deviations(first: Observable, second: Observable, target: float,
     On A_x's own line (one unit eigenvalue, the top one, and A_x rank one)
     the matrix is (v* S_y v - target) v v*, of entrywise max
     |Re <S_y, v v*> - target| max_i |v_i|^2: a column of ``table``, the
-    line table of (first, second), built here if it is needed and not
-    given. Every other subspace compresses S_y to k x k and lifts back.
+    line table of (first, second). Every other subspace compresses S_y to
+    k x k and lifts back.
     """
     units = np.abs(first.spectra() - 1.0) <= eig_tol
     counts = units.sum(axis=-1)
@@ -190,7 +190,6 @@ def _certainty_deviations(first: Observable, second: Observable, target: float,
     line = (counts == 1) & units[:, -1]
     devs = {}
     if line.any():
-        table = line_table(first, second)[0] if table is None else table
         own = line[table.index]
         scale = np.max(np.abs(table.vectors[:, own]), axis=0) ** 2
         closed = np.abs(table.forms[:, own] - target) * scale
@@ -204,8 +203,8 @@ def _certainty_deviations(first: Observable, second: Observable, target: float,
 
 
 def _complementarity_verdict(a: Observable, b: Observable, tol: float | None,
-                             tables: tuple[LineTable | None, LineTable | None]) -> Verdict:
-    """Value complementarity, reading the line tables of (A, B) and (B, A) when given."""
+                             tables: tuple[LineTable, LineTable]) -> Verdict:
+    """Value complementarity, reading the line tables of (A, B) and (B, A)."""
     mat_tol, eig_tol = linalg.tols(a.dim, tol)
     worst = 0.0
     worst_case = None
@@ -257,7 +256,7 @@ def check_value_complementary(a: Observable, b: Observable,
     with the probability it observes.
     """
     require_same_dim(a, b)
-    return _complementarity_verdict(a, b, tol, (None, None))
+    return _complementarity_verdict(a, b, tol, (line_table(a, b)[0], line_table(b, a)[0]))
 
 
 def forced_alpha(a: Observable, b: Observable) -> float:
@@ -286,9 +285,7 @@ def check_partition_criterion(fa: PartitionMap, fb: PartitionMap) -> PartitionCr
 def check_trivial(a: Observable, tol: float | None = None) -> bool:
     """Whether every effect is the same multiple (1/m) of the identity."""
     mat_tol, _ = linalg.tols(a.dim, tol)
-    eye = np.eye(a.dim)
-    scale = 1.0 / len(a)
-    return all(linalg.max_abs(e.matrix - scale * eye) <= mat_tol for e in a.effects)
+    return bool(np.all(linalg.max_abs_each(a.stack() - np.eye(a.dim) / len(a)) <= mat_tol))
 
 
 def _reconcile(flags: list[str], name: str, failing: list[Verdict], limit: float) -> None:

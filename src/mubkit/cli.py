@@ -18,8 +18,8 @@ joins it all in one pass. Everything else (``dim``, labels, reports) goes
 through ``json.dumps``.
 
 Exit codes: 0 success (requested predicate holds), 1 predicate fails,
-2 input or validation error. Stdout carries JSON only; all human-oriented
-text goes to stderr.
+2 input or validation error, including an input too large to build in
+memory. Stdout carries JSON only; all human-oriented text goes to stderr.
 """
 from __future__ import annotations
 
@@ -465,8 +465,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (MubkitError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (MubkitError, OSError, MemoryError) as exc:  # an input too large to build is bad input
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -1,4 +1,8 @@
-"""Effects, states, and the sequential product A o B = sqrt(A) B sqrt(A)."""
+"""Effects, states, and the sequential product A o B = sqrt(A) B sqrt(A).
+
+Effects are validated once, as a stack (``effects_of``; ``Effect`` is a
+stack of one), and are views of that stack and of its stacked decomposition.
+"""
 from __future__ import annotations
 
 import numpy as np
@@ -21,21 +25,17 @@ class Effect:
 
     def __init__(self, matrix, tol: float | None = None):
         m = linalg.as_matrix(matrix)
-        (spectral,) = linalg.hermitian_eigs(m[None], tol)
-        self._set(m, spectral, tol)
+        (checked,), _ = effects_of(m[None], tol)
+        self._set(m, checked.spectral)
 
-    def _set(self, m: np.ndarray, spectral: linalg.SpectralDecomposition, tol: float | None) -> None:
-        """Check the spectrum lies in [0, 1] within the eigenvalue tolerance, then keep it."""
-        _, eig_tol = linalg.tols(m.shape[0], tol)
-        w = spectral.eigenvalues
-        if not (w[0] >= -eig_tol and w[-1] <= 1.0 + eig_tol):  # NaN fails too
-            bad = w[0] if not w[0] >= -eig_tol else w[-1]
-            raise SpectrumOutOfRange(f"eigenvalue {bad!r} outside [0, 1] by more than {eig_tol:.3e}")
+    def _set(self, m: np.ndarray, spectral: linalg.SpectralDecomposition) -> "Effect":
+        """Keep a matrix and its checked decomposition; returns the effect."""
         self.matrix = m
         self._spectral = spectral
         self._factor = None
         self._sqrt = None
         self._complement = None
+        return self
 
     @property
     def dim(self) -> int:
@@ -107,17 +107,25 @@ class Effect:
         return f"Effect(dim={self.dim})"
 
 
-def effects_of(stack: np.ndarray, tol: float | None = None) -> list[Effect]:
-    """Validate every matrix of a frozen (m, d, d) stack as an effect, in
-    one ``linalg.hermitian_eigs`` pass; each effect's matrix is a read-only
-    view of the stack. Raises the error of some invalid matrix, not
-    necessarily the first."""
-    out = []
-    for m, spectral in zip(stack, linalg.hermitian_eigs(stack, tol)):
-        e = Effect.__new__(Effect)
-        e._set(m, spectral, tol)
-        out.append(e)
-    return out
+def effects_of(stack: np.ndarray, tol: float | None = None
+               ) -> tuple[list[Effect], linalg.SpectralDecomposition]:
+    """Validate every matrix of a frozen (m, d, d) stack as an effect: one
+    ``linalg.hermitian_eigs`` pass, then one vector test that every spectrum
+    lies in [0, 1] within the eigenvalue tolerance (NaN fails it).
+
+    Returns the effects, read-only views of the stack and of its stacked
+    decomposition, and that decomposition. Raises the error of some invalid
+    matrix, not necessarily the first.
+    """
+    spectral = linalg.hermitian_eigs(stack, tol)
+    _, eig_tol = linalg.tols(stack.shape[-1], tol)
+    low, high = spectral.eigenvalues[:, 0], spectral.eigenvalues[:, -1]
+    bad = np.flatnonzero(~((low >= -eig_tol) & (high <= 1.0 + eig_tol)))
+    if len(bad):
+        value = low[bad[0]] if not low[bad[0]] >= -eig_tol else high[bad[0]]
+        raise SpectrumOutOfRange(f"eigenvalue {value!r} outside [0, 1] by more than {eig_tol:.3e}")
+    return [Effect.__new__(Effect)._set(m, linalg.SpectralDecomposition(w, v))
+            for m, w, v in zip(stack, *spectral)], spectral
 
 
 def require_same_dim(a, b) -> None:
@@ -143,8 +151,8 @@ def seq_matrix(a: Effect, b: Effect) -> np.ndarray:
     """The matrix sqrt(A) B sqrt(A), symmetrized to shed roundoff asymmetry.
 
     Not validated: the sequential product of two effects is an effect, so
-    the reference checkers in ``oracle`` compare this matrix directly and
-    only ``seq_product`` validates it.
+    the reference checkers in ``oracle`` compare this matrix directly, and
+    ``seq_product`` and ``observables.obs_seq_product`` validate it.
     """
     require_same_dim(a, b)
     r = a.sqrt() @ b.matrix @ a.sqrt()

@@ -5,9 +5,10 @@ validated. Routines here assume nothing about physical meaning; the effect
 and observable layers build on top.
 
 Two routines diagonalize. ``hermitian_eig`` runs ``eigh`` on one matrix.
-``hermitian_eigs`` decomposes a whole (m, d, d) stack: matrices it can
-certify as rank one within ``CERTIFICATE_TOL`` get their decomposition in
-O(d^2) without ``eigh``, the rest go through ``eigh`` with the bits
+``hermitian_eigs`` decomposes a whole (m, d, d) stack into one stacked
+decomposition, eigenvalues (m, d) and eigenvectors (m, d, d): matrices it
+can certify as rank one within ``CERTIFICATE_TOL`` get their decomposition
+in O(d^2) without ``eigh``, the rest go through ``eigh`` with the bits
 ``hermitian_eig`` gives.
 """
 from __future__ import annotations
@@ -129,7 +130,8 @@ def frobenius(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 
 class SpectralDecomposition(NamedTuple):
-    """Eigenvalues (ascending, real) and matching orthonormal eigenvector columns."""
+    """Eigenvalues (ascending, real) and matching orthonormal eigenvector
+    columns: of one matrix, or stacked along a leading axis for a stack."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
@@ -164,7 +166,7 @@ def hermitian_eig(m: np.ndarray, tol: float | None = None) -> SpectralDecomposit
     return SpectralDecomposition(freeze(w), freeze(v))
 
 
-def hermitian_eigs(stack: np.ndarray, tol: float | None = None) -> list[SpectralDecomposition]:
+def hermitian_eigs(stack: np.ndarray, tol: float | None = None) -> SpectralDecomposition:
     """Spectral decomposition of every matrix in an (m, d, d) stack.
 
     Each matrix must be Hermitian within the matrix tolerance of ``tol``
@@ -184,9 +186,10 @@ def hermitian_eigs(stack: np.ndarray, tol: float | None = None) -> list[Spectral
     * **Fallback.** Every other matrix goes through ``eigh`` on the same
       H, so its decomposition has the bits ``hermitian_eig`` gives.
 
-    Returns one read-only ``SpectralDecomposition`` per matrix, ascending,
-    as views of two stacked arrays. Raises ``NotHermitian`` for the first
-    matrix whose asymmetry exceeds the tolerance.
+    Returns one read-only ``SpectralDecomposition`` of the whole stack:
+    eigenvalues (m, d), each row ascending, and eigenvectors (m, d, d),
+    whose k-th matrix belongs to the k-th row. Raises ``NotHermitian`` for
+    the first matrix whose asymmetry exceeds the tolerance.
     """
     mat_tol, eig_tol = tols(stack.shape[-1], tol)
     w = np.zeros(stack.shape[:-1])
@@ -194,7 +197,7 @@ def hermitian_eigs(stack: np.ndarray, tol: float | None = None) -> list[Spectral
     step = max(1, _CHUNK_ENTRIES // stack.shape[-1] ** 2)
     for i in range(0, len(stack), step):
         _chunk_eigs(_hermitian(stack[i:i + step], mat_tol), eig_tol, w[i:i + step], v[i:i + step])
-    return list(map(SpectralDecomposition, freeze(w), freeze(v)))
+    return SpectralDecomposition(freeze(w), freeze(v))
 
 
 def _chunk_eigs(h: np.ndarray, eig_tol: float, w: np.ndarray, v: np.ndarray) -> None:

@@ -3,16 +3,16 @@
 An observable is a labelled family of effects summing to the identity.
 Only the public constructors validate: ``Observable`` itself and the
 derived constructions (``obs_seq_product``, ``conditioned``,
-``coarse_grain``, ``conjugate``). Products, conditioning and
-coarse-graining validate with a 10x looser tolerance, since each entry
-accumulates roundoff from up to m*n sequential products. Predicates
-compare the unvalidated products of ``products`` instead: products and
-sums of valid effects need no second check.
+``coarse_grain``, ``conjugate``), which validate their new matrices once,
+as the observable. Products, conditioning and coarse-graining validate
+with a 10x looser tolerance, since each entry accumulates roundoff from up
+to m*n sequential products. Predicates compare the unvalidated products of
+``products`` instead: products and sums of valid effects need no second check.
 
-``Observable`` validates its raw matrices as one stack
-(``effects.effects_of``, hence ``linalg.hermitian_eigs``): rank-one
-effects are certified without ``eigh``, and the effects' matrices are
-views of the stack that ``Observable.stack`` returns.
+Every observable is one validated (m, d, d) stack and the stacked
+decomposition its validation produced (``effects.effects_of``): each
+effect is a view of both. An ``Effect`` given to ``Observable`` counts as
+its matrix and is validated again, under the observable's tolerance.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ from .effects import (
     atomic_spectra,
     effects_of,
     occurrence_probability,
-    seq_product,
+    seq_matrix,
     sharp_spectra,
 )
 from .errors import (
@@ -47,7 +47,7 @@ PRODUCT_SEP = "⊗"  # the symbol joining outcome labels of a product observable
 class Observable:
     """Effects A_x indexed by string outcome labels, with sum(A_x) = I."""
 
-    __slots__ = ("outcomes", "effects", "dim", "_stack", "_spectra")
+    __slots__ = ("outcomes", "effects", "dim", "_stack", "_spectral")
 
     def __init__(self, outcomes: Sequence[str], effects, tol: float | None = None):
         labels = tuple(str(x) for x in outcomes)
@@ -58,19 +58,15 @@ class Observable:
             raise LabelMismatch(f"{len(labels)} labels for {len(effects)} effects")
         if not labels:
             raise LabelMismatch("observable needs at least one outcome")
-        validated, self._stack = _validated(labels, effects, tol)
-        dims = {e.dim for e in validated}
-        if len(dims) != 1:
-            raise DimMismatch(f"effects have mixed dimensions {sorted(dims)}")
-        dim = dims.pop()
+        self._stack, validated, self._spectral = _validated(labels, effects, tol)
+        dim = self._stack.shape[-1]
         mat_tol, _ = linalg.tols(dim, tol)
-        defect = linalg.max_abs(sum(e.matrix for e in validated) - np.eye(dim))
+        defect = linalg.max_abs(self._stack.sum(axis=0) - np.eye(dim))
         if defect > mat_tol:
             raise SumNotIdentity(f"effects sum misses identity by {defect:.3e} (tol {mat_tol:.3e})")
         self.outcomes = labels
         self.effects = tuple(validated)
         self.dim = dim
-        self._spectra = None
 
     def __len__(self) -> int:
         return len(self.outcomes)
@@ -86,17 +82,13 @@ class Observable:
 
     def stack(self) -> np.ndarray:
         """The effect matrices as one read-only (m, d, d) array: the validated
-        stack whose views they are, or, when built from ``Effect`` objects,
-        stacked once on first use."""
-        if self._stack is None:
-            self._stack = linalg.freeze(np.stack([e.matrix for e in self.effects]))
+        stack whose views they are."""
         return self._stack
 
     def spectra(self) -> np.ndarray:
-        """Every effect's eigenvalues, ascending, as one read-only (m, d) array, built once."""
-        if self._spectra is None:
-            self._spectra = linalg.freeze(np.stack([e.spectral.eigenvalues for e in self.effects]))
-        return self._spectra
+        """Every effect's eigenvalues, ascending, as one read-only (m, d)
+        array: the stacked decomposition's, whose views they are."""
+        return self._spectral.eigenvalues
 
     def is_sharp(self, tol: float | None = None) -> bool:
         """Every effect is sharp (``Effect.is_sharp``), read from ``spectra``."""
@@ -112,27 +104,28 @@ class Observable:
         return f"Observable(dim={self.dim}, outcomes={list(self.outcomes)!r})"
 
 
-def _validated(labels: tuple[str, ...], effects, tol: float | None) -> tuple[list[Effect], np.ndarray | None]:
-    """The effects, validated, and the stack their matrices are views of.
+def _validated(labels: tuple[str, ...], effects, tol: float | None
+               ) -> tuple[np.ndarray, list[Effect], linalg.SpectralDecomposition]:
+    """The matrices as one validated stack, their effects and the stack's
+    decomposition (``effects_of``). An ``Effect`` counts as its matrix.
 
-    Raw matrices of one shape are validated as one stack (``effects_of``).
-    ``Effect`` objects are kept as given; when there are any, or when the
-    stacked pass raises, the raw matrices go one by one, in order, so that
-    an error names the first invalid outcome.
+    When the stacked pass raises, the matrices go one by one, in order, so
+    that an error names the first invalid outcome; if every one is valid,
+    their dimensions differ.
     """
-    if not any(isinstance(e, Effect) for e in effects):
+    matrices = [e.matrix if isinstance(e, Effect) else e for e in effects]
+    try:
+        stack = linalg.as_stack(matrices)
+        return (stack, *effects_of(stack, tol))
+    except (MubkitError, ValueError, TypeError, OverflowError):
+        pass
+    dims = set()
+    for x, m in zip(labels, matrices):
         try:
-            stack = linalg.as_stack(effects)
-            return effects_of(stack, tol), stack
-        except (MubkitError, ValueError, TypeError, OverflowError):
-            pass
-    validated = []
-    for x, e in zip(labels, effects):
-        try:
-            validated.append(e if isinstance(e, Effect) else Effect(e, tol))
+            dims.add(Effect(m, tol).dim)
         except MubkitError as err:
             raise NotAnEffect(f"outcome {x!r}: {err}") from err
-    return validated, None
+    raise DimMismatch(f"effects have mixed dimensions {sorted(dims)}")
 
 
 def observable_new(dim: int, outcomes: Sequence[str], matrices, tol: float | None = None) -> Observable:
@@ -171,15 +164,12 @@ def obs_seq_product(a: Observable, b: Observable, tol: float | None = None) -> O
     """Joint observable with effects A_x o B_y on outcomes 'x<sep>y'.
 
     Outcomes run in lexicographic input order: all of A's first outcome
-    paired with each of B's outcomes, and so on.
+    paired with each of B's outcomes, and so on. The products
+    (``effects.seq_matrix``) are validated once, as the observable.
     """
     base, _ = linalg.tols(a.dim, tol)
-    labels = []
-    prods = []
-    for x, ax in a.items():
-        for y, by in b.items():
-            labels.append(f"{x}{PRODUCT_SEP}{y}")
-            prods.append(seq_product(ax, by, tol))
+    labels = [f"{x}{PRODUCT_SEP}{y}" for x in a.outcomes for y in b.outcomes]
+    prods = [seq_matrix(ax, by) for ax in a.effects for by in b.effects]
     return Observable(labels, prods, 10 * base)
 
 
@@ -198,13 +188,11 @@ def line_table(a: Observable, b: Observable) -> tuple[LineTable, np.ndarray]:
     A_x is rank one when exactly one eigenvalue is at least
     ``EIGENVALUE_TOL`` (the rule of ``Effect.factor``), counted for all x at
     once over ``spectra``; v is that eigenvalue's eigenvector, the last
-    column. The forms are one real GEMM of B's stack against P's float view
-    (``linalg.frobenius``).
+    column, read from the eigenvector stack. The forms are one real GEMM of
+    B's stack against P's float view (``linalg.frobenius``).
     """
     index = ((a.spectra() >= linalg.EIGENVALUE_TOL).sum(axis=-1) == 1).nonzero()[0]
-    vectors = np.empty((a.dim, len(index)), dtype=complex)
-    for k, x in enumerate(index.tolist()):
-        vectors[:, k] = a.effects[x].spectral.eigenvectors[:, -1]
+    vectors = a._spectral.eigenvectors[index, :, -1].T
     projections = linalg.projections(vectors)
     return LineTable(index, vectors, linalg.frobenius(b.stack(), projections)), projections
 
@@ -318,12 +306,10 @@ def coarse_grain(a: Observable, f: PartitionMap, tol: float | None = None) -> Ob
     if set(f.source_outcomes) != set(a.outcomes):
         raise LabelMismatch("partition source must equal the observable's outcomes")
     base, _ = linalg.tols(a.dim, tol)
-    effs = []
-    for y, fiber in f.fibers().items():
-        total = np.zeros((a.dim, a.dim), dtype=complex)
-        for x in fiber:
-            total = total + a.effect(x).matrix
-        effs.append(total)
+    source = [a.outcomes.index(x) for x in f.source_outcomes]
+    target = [f.target_outcomes.index(f.mapping[x]) for x in f.source_outcomes]
+    effs = np.zeros((len(f.target_outcomes), a.dim, a.dim), dtype=complex)
+    np.add.at(effs, target, a.stack()[source])  # in source order from +0.0, as a loop would
     return Observable(f.target_outcomes, effs, 10 * base)
 
 
@@ -352,8 +338,7 @@ def coexistence_witness(a: Observable, b: Observable, tol: float | None = None) 
 
 def conjugate(a: Observable, u: np.ndarray, tol: float | None = None) -> Observable:
     """Apply the unitary change of basis E -> U E U* to every effect."""
-    effs = [u @ e.matrix @ u.conj().T for e in a.effects]
-    return Observable(a.outcomes, effs, tol)
+    return Observable(a.outcomes, u @ a.stack() @ u.conj().T, tol)
 
 
 def iter_set_partitions(items: Sequence) -> Iterator[list[list]]:

@@ -144,6 +144,10 @@ def mc_value_complementarity(a: Observable, b: Observable, samples: int, seed: S
     require_same_dim(a, b)
     if samples < 1:
         raise InvalidParams(f"samples must be positive, got {samples!r}")
+    vectors_in = [np.asarray(raw, dtype=complex) for raw in inject]
+    for v in vectors_in:
+        if v.shape != (a.dim,):
+            raise InvalidParams(f"injected vector has shape {v.shape}")
     mat_tol, eig_tol = linalg.tols(a.dim, tol)
     rng = _rng(seed)
 
@@ -162,10 +166,7 @@ def mc_value_complementarity(a: Observable, b: Observable, samples: int, seed: S
             k = basis.shape[1]
             if k == 0:
                 continue
-            for raw in inject:
-                v = np.asarray(raw, dtype=complex)
-                if v.shape != (a.dim,):
-                    raise InvalidParams(f"injected vector has shape {v.shape}")
+            for v in vectors_in:
                 w = basis @ (basis.conj().T @ v)
                 nrm = np.linalg.norm(w)
                 if nrm < 1e-8:

@@ -49,7 +49,8 @@ def eigh_matrices():
 def eigh_only(stack, tol=None):
     """``hermitian_eigs`` without the certificate: ``hermitian_eig`` per matrix."""
     mat_tol, _ = linalg.tols(stack.shape[-1], tol)
-    return [linalg.hermitian_eig(m, mat_tol) for m in stack]
+    w, v = zip(*(linalg.hermitian_eig(m, mat_tol) for m in stack))
+    return linalg.SpectralDecomposition(linalg.freeze(np.stack(w)), linalg.freeze(np.stack(v)))
 
 
 def _projection(u):
@@ -94,7 +95,7 @@ def test_certificate_matches_eigh(kind, dim, seed, tol, weight, sign):
         weight = min(weight, 0.5)
     m = linalg.as_matrix(_input(kind, dim, np.random.default_rng(seed), tol, weight, sign))
     with eigh_matrices() as seen:
-        (got,) = linalg.hermitian_eigs(m[None], tol)
+        got = linalg.SpectralDecomposition(*(x[0] for x in linalg.hermitian_eigs(m[None], tol)))
     ref = linalg.hermitian_eig(m, linalg.tols(dim, tol)[0])
     assert (sum(seen) == 0) == CERTIFIED[kind]
     if not CERTIFIED[kind]:
@@ -180,7 +181,8 @@ def test_effects_are_views_of_the_validated_stack():
 
 def test_certified_eigenvector_is_the_normalized_column():
     v = random_unitary(4, 8)[:, 2] * 0.6
-    (got,) = linalg.hermitian_eigs(linalg.as_matrix(np.outer(v, v.conj()))[None])
+    got = linalg.SpectralDecomposition(
+        *(x[0] for x in linalg.hermitian_eigs(linalg.as_matrix(np.outer(v, v.conj()))[None])))
     u = got.eigenvectors[:, -1]
     assert got.eigenvalues[-1] == pytest.approx(0.36, abs=1e-15)
     # the certified column is v / |v| up to the phase of v's largest entry

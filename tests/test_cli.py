@@ -100,6 +100,20 @@ class TestConstruct:
         code, _, err = run(["construct", "fourier", "0"], capsys)
         assert code == 2 and "error:" in err
 
+    @pytest.mark.parametrize("kind, builder", [("position", "position_observable"),
+                                               ("momentum", "momentum_observable"),
+                                               ("fourier", "fourier_matrix")])
+    @pytest.mark.parametrize("exc, line", [
+        (MemoryError("Unable to allocate 14.6 TiB"), "error: Unable to allocate 14.6 TiB\n"),
+        (MemoryError(), "error: out of memory\n"),
+    ])
+    def test_out_of_memory_is_input_error(self, capsys, monkeypatch, kind, builder, exc, line):
+        def exhausted(n):
+            raise exc
+
+        monkeypatch.setattr(mubkit.cli, builder, exhausted)
+        assert run(["construct", kind, "1000000"], capsys) == (2, "", line)
+
     def test_tol_is_not_an_option(self, capsys):
         # construct compares nothing, so it takes no tolerance
         with pytest.raises(SystemExit) as exc:

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import mat_approx_eq
 from mubkit import linalg
-from mubkit.effects import Effect, State, seq_matrix
+from mubkit.effects import Effect, State, seq_matrix, seq_product
 from mubkit.errors import (
     DimMismatch,
     DuplicateLabel,
@@ -74,6 +76,21 @@ class TestValidation:
     def test_mixed_dims(self):
         with pytest.raises(DimMismatch):
             Observable(["0", "1"], [np.eye(2, dtype=complex), np.zeros((3, 3), dtype=complex)])
+
+    def test_effect_arguments_count_as_their_matrices(self):
+        obs = random_observable(5, 3, "unsharp", 4)
+        for effects in (list(obs.effects), [obs.effects[0], *obs.stack()[1:]]):
+            again = Observable(obs.outcomes, effects)
+            assert np.array_equal(again.stack(), obs.stack())
+            assert np.array_equal(again.spectra(), obs.spectra())
+            for got, want in zip(again.effects, obs.effects):
+                assert np.array_equal(got.spectral.eigenvectors, want.spectral.eigenvectors)
+
+    def test_effect_arguments_are_validated_under_the_observables_tol(self):
+        loose = [Effect(np.diag(w), tol=1e-6) for w in ([1.0 + 1e-7, 0.0], [-1e-7, 1.0])]
+        with pytest.raises(NotAnEffect, match=r"outcome 'x': eigenvalue np.float64\(1.0000001\)"):
+            Observable(["x", "y"], loose)
+        assert Observable(["x", "y"], loose, tol=1e-6).dim == 2
 
     def test_declared_dim_checked(self):
         with pytest.raises(DimMismatch):
@@ -153,6 +170,31 @@ class TestSeqProductObservable:
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
             obs_seq_product(two_outcome(2), two_outcome(3))
+
+    @pytest.mark.parametrize("kind, dim, m", [("atomic", 5, 5), ("atomic", 12, 12),
+                                              ("sharp", 6, 3), ("unsharp", 6, 3)])
+    def test_validates_once_as_validating_each_product_did(self, kind, dim, m):
+        """One ``hermitian_eigs`` pass (two chunks at d = 12) and no ``Effect``
+        per product, with the stack and spectra of one ``seq_product`` each."""
+        a, b = (random_observable(dim, m, kind, seed) for seed in (1, 2))
+        calls = []
+        real_eigs, real_init = linalg.hermitian_eigs, Effect.__init__
+
+        def eigs(stack, tol=None):
+            calls.append("hermitian_eigs")
+            return real_eigs(stack, tol)
+
+        def init(self, matrix, tol=None):
+            calls.append("Effect")
+            real_init(self, matrix, tol)
+
+        with mock.patch.object(linalg, "hermitian_eigs", eigs), \
+                mock.patch.object(Effect, "__init__", init):
+            joint = obs_seq_product(a, b)
+        assert calls == ["hermitian_eigs"]
+        each = [seq_product(x, y) for x in a.effects for y in b.effects]
+        assert np.array_equal(joint.stack(), [e.matrix for e in each])
+        assert np.array_equal(joint.spectra(), [e.spectral.eigenvalues for e in each])
 
 
 class TestConditioned:
@@ -266,6 +308,27 @@ class TestCoarseGrain:
                           {x: str(int(x) % 2) for x in obs.outcomes})
         assert coarse_grain(obs, pm).is_sharp()
 
+    @pytest.mark.parametrize("build", [
+        # momentum 64 into 4 residue classes, summed in reversed source order
+        lambda: (momentum_observable(64), 4, lambda outcomes: tuple(reversed(outcomes))),
+        # -0.0 off the diagonal of both merged effects: a sum from the first
+        # term keeps it, a sum from +0.0 does not
+        lambda: (Observable("012", [np.array([[0.25, -0.0], [-0.0, 0.25]])] * 2 + [np.eye(2) / 2]),
+                 2, tuple),
+    ])
+    def test_matches_the_per_effect_loop_bit_for_bit(self, build):
+        obs, blocks, order = build()
+        source = order(obs.outcomes)
+        pm = PartitionMap(source, tuple(map(str, range(blocks))),
+                          {x: str(obs.outcomes.index(x) % blocks) for x in source})
+        want = []
+        for fiber in pm.fibers().values():
+            total = np.zeros((obs.dim, obs.dim), dtype=complex)
+            for x in fiber:
+                total = total + obs.effect(x).matrix
+            want.append(total)
+        assert coarse_grain(obs, pm).stack().tobytes() == np.array(want).tobytes()
+
     def test_atomicity_does_not_survive(self):
         q_half, _, _ = example_partitions()
         assert q_half.is_sharp() and not q_half.is_atomic()
@@ -310,6 +373,15 @@ class TestConjugate:
         for got, want in zip(same.effects, q.effects):
             assert linalg.max_abs(got.matrix - want.matrix) < 1e-15
 
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 13, 32, 64])
+    def test_matches_the_per_effect_loop_bit_for_bit(self, dim):
+        unsharp = random_observable(dim, min(dim, 3), "unsharp", dim)
+        for obs, u in ((unsharp, random_unitary(dim, 1)),
+                       (momentum_observable(dim), random_unitary(dim, 2)),
+                       (position_observable(dim), np.eye(dim))):
+            want = np.array([u @ e.matrix @ u.conj().T for e in obs.effects])
+            assert conjugate(obs, u).stack().tobytes() == want.tobytes()
+
 
 class TestStackedPredicates:
     """``Observable.is_sharp`` and ``is_atomic`` read one eigenvalue stack;
@@ -336,6 +408,7 @@ class TestStackedPredicates:
         w = obs.spectra()
         assert w is obs.spectra() and not w.flags.writeable
         assert np.array_equal(w, [e.spectral.eigenvalues for e in obs.effects])
+        assert all(np.shares_memory(w, e.spectral.eigenvalues) for e in obs.effects)
 
 
 def mixed_rank(dim, m, rng):

@@ -137,6 +137,13 @@ class TestMonteCarlo:
             mc_value_complementarity(q, p, samples=5, seed=6,
                                      inject=[np.ones(3)])
 
+    def test_bad_injection_raises_without_certainty_subspaces(self):
+        # unsharp effects have no eigenvalue-1 eigenspace, so no vector is
+        # ever projected in: the shape is checked before sampling
+        a, b = (random_observable(4, 2, "unsharp", seed) for seed in (7, 8))
+        with pytest.raises(InvalidParams, match=r"shape \(3,\)"):
+            mc_value_complementarity(a, b, samples=5, seed=9, inject=[[1, 2, 3]])
+
     def test_agrees_with_decider(self):
         for seed in range(10):
             dim = 4 + 2 * (seed % 2)
