@@ -74,6 +74,7 @@ class Verdict:
     a value-complementarity check that found no certainty subspace to test.
     """
 
+    # the field order is the key order of a verdict in the CLI's report
     holds: bool
     max_deviation: float
     witness: dict[str, Any] | None = None

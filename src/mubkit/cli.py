@@ -5,8 +5,10 @@ Layout of an observable file::
     {"dim": 2, "outcomes": ["0", "1"], "effects": [[[..re, im..], ...], ...]}
 
 Every complex entry is a two-element array [re, im]; effect matrices are
-row-major. Reports wrap a full classification plus tool name/version, the
-input paths and the tolerance used, and round-trip losslessly.
+row-major. A report file holds the tool name/version, the input paths, the
+tolerance used and the ``analysis.PairReport``: its fields in dataclass
+order, with the five verdicts nested under ``"verdicts"`` and ``flags`` as
+a list. ``report_from_json`` rebuilds the report losslessly.
 
 Every file and stdout document is exactly
 ``json.dumps(doc, indent=2, ensure_ascii=False) + "\\n"``: one number per
@@ -24,6 +26,7 @@ memory. Stdout carries JSON only; all human-oriented text goes to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -51,16 +54,9 @@ ENV_TOL = "MUBKIT_TOL"
 # ---------------------------------------------------------------- encoding
 
 def _float_pairs(m: np.ndarray) -> np.ndarray:
-    """The [re, im] float view of a complex array: shape (..., 2), the same bits.
-
-    The JSON list form (``.tolist()``) and the file writer both read it.
-    """
+    """The [re, im] float view of a complex array: shape (..., 2), the same bits."""
     m = np.ascontiguousarray(m, dtype=complex)
     return m.view(float).reshape(*m.shape, 2)
-
-
-def matrix_to_json(m: np.ndarray) -> list:
-    return _float_pairs(m).tolist()
 
 
 def matrix_from_json(rows) -> np.ndarray:
@@ -94,12 +90,6 @@ def matrix_from_json(rows) -> np.ndarray:
 def _observable_document(obs: Observable) -> dict:
     """The fields of an observable file, with the effects as one float array."""
     return {"dim": obs.dim, "outcomes": list(obs.outcomes), "effects": _float_pairs(obs.stack())}
-
-
-def observable_to_json(obs: Observable) -> dict:
-    doc = _observable_document(obs)
-    doc["effects"] = doc["effects"].tolist()
-    return doc
 
 
 def observable_from_json(obj, tol: float | None = None) -> Observable:
@@ -181,66 +171,31 @@ def dump_json(obj, out: str | None) -> None:
 
 # ------------------------------------------------------------------ report
 
-def _witness_from_json(w: dict | None) -> dict | None:
-    if w is None:
-        return None
-    out = dict(w)
-    if "state" in out:
-        out["state"] = tuple((float(re), float(im)) for re, im in out["state"])
-    return out
-
-
-def verdict_to_json(v: analysis.Verdict | None) -> dict | None:
-    if v is None:
-        return None
-    return {
-        "holds": v.holds,
-        "max_deviation": v.max_deviation,
-        "witness": v.witness,
-        "vacuous": v.vacuous,
-    }
-
-
-def verdict_from_json(obj) -> analysis.Verdict | None:
-    if obj is None:
-        return None
-    return analysis.Verdict(
-        holds=bool(obj["holds"]),
-        max_deviation=float(obj["max_deviation"]),
-        witness=_witness_from_json(obj["witness"]),
-        vacuous=bool(obj["vacuous"]),
-    )
+#: The verdict fields of ``analysis.PairReport``, in field order.
+_VERDICTS = ("mu", "value_complementary", "condition1", "condition2", "generalized_mu")
 
 
 def report_to_json(report: analysis.PairReport) -> dict:
-    return {
-        "dim": report.dim,
-        "m": report.m,
-        "n": report.n,
-        "verdicts": {
-            "mu": verdict_to_json(report.mu),
-            "value_complementary": verdict_to_json(report.value_complementary),
-            "condition1": verdict_to_json(report.condition1),
-            "condition2": verdict_to_json(report.condition2),
-            "generalized_mu": verdict_to_json(report.generalized_mu),
-        },
-        "alpha": report.alpha,
-        "flags": list(report.flags),
-    }
+    """``dataclasses.asdict(report)`` with the verdicts nested under "verdicts"."""
+    doc = {}
+    for key, value in dataclasses.asdict(report).items():
+        (doc.setdefault("verdicts", {}) if key in _VERDICTS else doc)[key] = value
+    return {**doc, "flags": list(report.flags)}
 
 
 def report_from_json(obj) -> analysis.PairReport:
-    v = obj["verdicts"]
-    return analysis.PairReport(
-        dim=int(obj["dim"]), m=int(obj["m"]), n=int(obj["n"]),
-        mu=verdict_from_json(v["mu"]),
-        value_complementary=verdict_from_json(v["value_complementary"]),
-        condition1=verdict_from_json(v["condition1"]),
-        condition2=verdict_from_json(v["condition2"]),
-        generalized_mu=verdict_from_json(v["generalized_mu"]),
-        alpha=None if obj["alpha"] is None else float(obj["alpha"]),
-        flags=tuple(obj["flags"]),
-    )
+    """The report that ``report_to_json`` wrote; a witness ``state`` becomes
+    a tuple of pairs again."""
+    fields = {key: value for key, value in obj.items() if key != "verdicts"}
+    for name in _VERDICTS:
+        verdict = obj["verdicts"][name]
+        if verdict is not None:
+            witness = verdict["witness"]
+            if witness is not None and "state" in witness:
+                witness = {**witness, "state": tuple(map(tuple, witness["state"]))}
+            verdict = analysis.Verdict(**{**verdict, "witness": witness})
+        fields[name] = verdict
+    return analysis.PairReport(**{**fields, "flags": tuple(obj["flags"])})
 
 
 def report_file(report: analysis.PairReport, tolerance: float, inputs: list[str]) -> dict:
@@ -349,11 +304,8 @@ def cmd_check(args) -> int:
     report = analysis.classify_pair(a, b, tol)
 
     if args.predicate == "all":
-        verdicts = [report.condition1, report.condition2,
-                    report.value_complementary, report.generalized_mu]
-        if report.mu is not None:
-            verdicts.append(report.mu)
-        ok = all(v.holds for v in verdicts)
+        verdicts = (getattr(report, name) for name in _VERDICTS)
+        ok = all(v.holds for v in verdicts if v is not None)
     else:
         field = _PREDICATE_FIELDS[args.predicate]
         verdict = getattr(report, field)
@@ -419,7 +371,7 @@ def cmd_paper_suite(args) -> int:
     dump_json({
         "tool": {"name": "mubkit", "version": __version__},
         "seed": args.seed,
-        "fixtures": [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results],
+        "fixtures": [dataclasses.asdict(r) for r in results],
         "passed": passed,
     }, None)
     return 0 if passed else 1

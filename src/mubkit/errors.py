@@ -54,7 +54,8 @@ class InvalidDim(MubkitError):
 
 
 class InvalidParams(MubkitError):
-    """Generator parameters are inconsistent (rank, outcome count, ...)."""
+    """Generator parameters are inconsistent (rank, outcome count, ...), or a
+    ``tol`` is not a finite positive number."""
 
 
 class NotAtomic(MubkitError):

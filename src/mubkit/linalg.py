@@ -13,11 +13,13 @@ in O(d^2) without ``eigh``, the rest go through ``eigh`` with the bits
 """
 from __future__ import annotations
 
+import math
+import numbers
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimMismatch, NonFinite, NotHermitian
+from .errors import DimMismatch, InvalidParams, NonFinite, NotHermitian
 
 #: Tolerance used when classifying individual eigenvalues (zero? one?).
 EIGENVALUE_TOL = 1e-9
@@ -47,9 +49,19 @@ def tols(dim: int, tol: float | None) -> tuple[float, float]:
 
     ``None`` gives ``default_tol(dim)`` and ``EIGENVALUE_TOL``; a number
     sets both, so a user's tolerance reaches every comparison it governs.
+    It must be a finite positive real (not a bool): every comparison is
+    ``deviation <= tol``, which NaN fails, infinity passes, and zero or a
+    negative value turns into a rejection of exact inputs.
     """
     if tol is None:
         return default_tol(dim), EIGENVALUE_TOL
+    real = isinstance(tol, numbers.Real) and not isinstance(tol, bool)
+    try:
+        valid = real and 0 < float(tol) < math.inf
+    except OverflowError:  # an int past the largest float
+        valid = False
+    if not valid:
+        raise InvalidParams(f"tol must be a finite positive number, got {tol!r}")
     return tol, tol
 
 

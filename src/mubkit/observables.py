@@ -34,6 +34,7 @@ from .effects import (
 from .errors import (
     DimMismatch,
     DuplicateLabel,
+    InvalidParams,
     LabelMismatch,
     MubkitError,
     NotAnEffect,
@@ -123,6 +124,8 @@ def _validated(labels: tuple[str, ...], effects, tol: float | None
     for x, m in zip(labels, matrices):
         try:
             dims.add(Effect(m, tol).dim)
+        except InvalidParams:  # the tolerance, not this effect
+            raise
         except MubkitError as err:
             raise NotAnEffect(f"outcome {x!r}: {err}") from err
     raise DimMismatch(f"effects have mixed dimensions {sorted(dims)}")

@@ -270,6 +270,7 @@ FIXTURES: tuple[tuple[str, Callable], ...] = (
 
 @dataclass(frozen=True)
 class FixtureResult:
+    # the field order is the key order of a fixture in `mubkit paper-suite` output
     name: str
     passed: bool
     detail: str

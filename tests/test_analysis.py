@@ -17,7 +17,8 @@ from mubkit.analysis import (
     classify_pair,
     forced_alpha,
 )
-from mubkit.errors import DimMismatch, InternalInconsistency, NotAtomic
+from mubkit.effects import Effect, State
+from mubkit.errors import DimMismatch, InternalInconsistency, InvalidParams, NotAtomic
 from mubkit.fourier import example_partitions, momentum_observable, position_observable
 from mubkit.observables import (
     Observable,
@@ -405,6 +406,24 @@ class TestUserTolerance:
         assert rep.condition2 == check_condition2(a, a, tol=1e-6)
         assert not rep.mu.holds and not rep.generalized_mu.holds
         assert rep.flags == ()
+
+    @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-9, float("inf"), -float("inf"),
+                                     True, 10**400, "1e-9", 1e-9j, np.array(1e-9)])
+    def test_invalid_tol_is_rejected(self, tol):
+        # NaN failed every comparison, 0 raised InternalInconsistency, a
+        # negative tol called an unbiased pair biased, inf passed everything
+        q, p = position_observable(4), momentum_observable(4)
+        for build in (lambda: classify_pair(q, p, tol=tol),
+                      lambda: check_condition1(q, p, tol=tol),
+                      lambda: Observable(q.outcomes, q.stack(), tol=tol),
+                      lambda: Effect(q.stack()[0], tol=tol),
+                      lambda: State(np.eye(4) / 4, tol=tol)):
+            with pytest.raises(InvalidParams, match="finite positive"):
+                build()
+
+    @pytest.mark.parametrize("tol", [1e-6, 1, np.float64(1e-9), np.float32(1e-6)])
+    def test_real_positive_tol_is_accepted(self, tol):
+        assert check_condition1(position_observable(4), momentum_observable(4), tol=tol).holds
 
 
 class TestReconcile:

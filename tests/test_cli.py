@@ -1,9 +1,11 @@
+import io
 import json
 import os
 import subprocess
 import sys
 import textwrap
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -12,15 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mubkit
+from mubkit import linalg
 from mubkit.analysis import classify_pair
 from mubkit.cli import (
     dump_json,
     load_observable_file,
     main,
     matrix_from_json,
-    matrix_to_json,
     observable_from_json,
-    observable_to_json,
     parse_partition_spec,
     report_from_json,
     report_to_json,
@@ -33,6 +34,7 @@ from mubkit.fourier import (
     position_observable,
 )
 from mubkit.observables import coarse_grain
+from test_differential import KINDS, build_pair
 
 
 def run(argv, capsys):
@@ -57,7 +59,7 @@ class TestConstruct:
         out = tmp_path / "q3.json"
         code, _, err = run(["construct", "position", "3", "--out", str(out)], capsys)
         assert code == 0 and f"wrote {out}" in err
-        assert json.loads(out.read_text()) == observable_to_json(position_observable(3))
+        assert out.read_text("utf-8") == _observable_text(position_observable(3))
 
     def test_stdout_mode(self, capsys):
         code, out, _ = run(["construct", "momentum", "2"], capsys)
@@ -76,16 +78,16 @@ class TestConstruct:
 
     def test_example5_writes_pair(self, files):
         q_half, p_parity, _ = example_partitions()
-        got_q = json.loads((files / "ex5.qprime.json").read_text())
-        got_p = json.loads((files / "ex5.pprime.json").read_text())
-        assert got_q == observable_to_json(q_half)
-        assert got_p == observable_to_json(p_parity)
+        got_q = (files / "ex5.qprime.json").read_text("utf-8")
+        got_p = (files / "ex5.pprime.json").read_text("utf-8")
+        assert got_q == _observable_text(q_half)
+        assert got_p == _observable_text(p_parity)
 
     def test_example6_writes_pair(self, files):
         _, _, p_half = example_partitions()
         assert (files / "ex6.qprime.json").exists()
-        got = json.loads((files / "ex6.pdprime.json").read_text())
-        assert got == observable_to_json(p_half)
+        got = (files / "ex6.pdprime.json").read_text("utf-8")
+        assert got == _observable_text(p_half)
 
     def test_example_kind_needs_dim4(self, tmp_path, capsys):
         code, _, err = run(["construct", "example5", "3",
@@ -127,7 +129,7 @@ class TestMatrixJson:
         rng = np.random.default_rng(47)
         m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         m[0, 0] = -0.0
-        got = matrix_from_json(json.loads(json.dumps(matrix_to_json(m))))
+        got = matrix_from_json(json.loads(json.dumps(_pairs_by_entry(m))))
         assert np.array_equal(got, m) and np.signbit(got[0, 0].real)
         assert np.array_equal(matrix_from_json([[[1, -2]]]), [[1 - 2j]])
 
@@ -179,13 +181,6 @@ class TestFileText:
         dump_json(doc, str(out))
         assert out.read_bytes() == expected.encode("utf-8")
 
-    def test_list_forms_keep_every_bit(self):
-        m = np.array([[-0.0 + 5e-324j, 1.7976931348623157e308 - 0.0j], [0.1 + 0.2j, 1.0]])
-        assert json.dumps(matrix_to_json(m)) == json.dumps(_pairs_by_entry(m))
-        assert json.dumps(matrix_to_json(m.T)) == json.dumps(_pairs_by_entry(m.T))
-        q_half, _, _ = example_partitions()
-        assert _json_text(observable_to_json(q_half)) == _observable_text(q_half)
-
     @pytest.mark.parametrize("n", range(1, 9))
     def test_construct_kinds(self, tmp_path, capsys, n):
         for kind, expected in (
@@ -222,7 +217,103 @@ class TestFileText:
         want = momentum_observable(64)
         assert dim == 64
         assert np.array_equal(observable_from_json(raw).stack(), want.stack())
-        assert path.read_bytes() == _json_text(observable_to_json(want)).encode("utf-8")
+        assert path.read_bytes() == _observable_text(want).encode("utf-8")
+
+
+WORKED_PAIRS = {
+    "Q,P": lambda: (position_observable(4), momentum_observable(4)),
+    "Q',P'": lambda: example_partitions()[:2],
+    "Q',P''": lambda: example_partitions()[::2],
+}
+
+
+def _check_all(a, b, tmp_path, capsys, monkeypatch):
+    """`mubkit check all q.json p.json` on the files of ``a`` and ``b``, run in ``tmp_path``."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "q.json").write_text(_observable_text(a), encoding="utf-8")
+    (tmp_path / "p.json").write_text(_observable_text(b), encoding="utf-8")
+    return run(["check", "all", "q.json", "p.json"], capsys)
+
+
+EXAMPLE6_CHECK_ALL = """{
+  "tool": {
+    "name": "mubkit",
+    "version": "0.1.0"
+  },
+  "inputs": [
+    "q.json",
+    "p.json"
+  ],
+  "tolerance": 4e-09,
+  "report": {
+    "dim": 4,
+    "m": 2,
+    "n": 2,
+    "verdicts": {
+      "mu": null,
+      "value_complementary": {
+        "holds": false,
+        "max_deviation": 0.3535533905932738,
+        "witness": {
+          "side": "A",
+          "certain_outcome": "0",
+          "other_outcome": "0",
+          "state": [
+            [
+              -0.7071067811865474,
+              0.0
+            ],
+            [
+              0.4999999999999999,
+              -0.5
+            ],
+            [
+              0.0,
+              0.0
+            ],
+            [
+              0.0,
+              0.0
+            ]
+          ],
+          "observed": 0.1464466094067261,
+          "target": 0.5
+        },
+        "vacuous": false
+      },
+      "condition1": {
+        "holds": false,
+        "max_deviation": 0.3535533905932738,
+        "witness": {
+          "x": "0",
+          "y": "0",
+          "side": "A∘B",
+          "deviation": 0.3535533905932738
+        },
+        "vacuous": false
+      },
+      "condition2": {
+        "holds": false,
+        "max_deviation": 0.3535533905932738,
+        "witness": {
+          "outcome": "0",
+          "side": "B|A",
+          "deviation": 0.3535533905932738
+        },
+        "vacuous": false
+      },
+      "generalized_mu": {
+        "holds": true,
+        "max_deviation": 0.0,
+        "witness": null,
+        "vacuous": false
+      }
+    },
+    "alpha": 1.0,
+    "flags": []
+  }
+}
+"""
 
 
 class TestCheck:
@@ -348,13 +439,155 @@ class TestCheck:
             lines = err.splitlines()
             assert len(lines) == 1 and lines[0].startswith("error:")
 
-    def test_report_round_trip_is_lossless(self):
-        q_half, _, p_half = example_partitions()
-        rep = classify_pair(q_half, p_half)
-        assert report_from_json(report_to_json(rep)) == rep
-        q, p = position_observable(3), momentum_observable(3)
-        rep2 = classify_pair(q, p)
-        assert report_from_json(report_to_json(rep2)) == rep2
+    def test_report_round_trip_is_lossless(self, tmp_path, capsys, monkeypatch):
+        # the report `check all` prints, on the differential kinds and the worked pairs
+        pairs = [build_pair(kind, dim, 100 + dim) for kind in KINDS for dim in (2, 3, 5)]
+        for a, b in pairs + [worked() for worked in WORKED_PAIRS.values()]:
+            code, out, _ = _check_all(a, b, tmp_path, capsys, monkeypatch)
+            report = classify_pair(a, b, linalg.default_tol(a.dim))
+            assert code in (0, 1)
+            assert report_from_json(json.loads(out)["report"]) == report
+            assert report_from_json(report_to_json(report)) == report
+
+    def test_report_text_is_the_dataclass_fields_in_order(self, tmp_path, capsys, monkeypatch):
+        # (Q', P''): a value-complementarity witness with a state, and no mu
+        code, out, _ = _check_all(*WORKED_PAIRS["Q',P''"](), tmp_path, capsys, monkeypatch)
+        assert code == 1 and out == EXAMPLE6_CHECK_ALL
+
+
+_JUNK = [None, True, False, 0, -1, 3, 10**400, -10**400, 1.5, float("nan"), float("inf"),
+         -float("inf"), "x", "", [], [[]], {}, {"dim": 2}]
+
+
+def _drop_field(doc, data):
+    doc.pop(data.draw(st.sampled_from(["dim", "outcomes", "effects"])), None)
+
+
+def _retype_field(doc, data):
+    doc[data.draw(st.sampled_from(["dim", "outcomes", "effects"]))] = data.draw(st.sampled_from(_JUNK))
+
+
+def _wrong_dim(doc, data):
+    doc["dim"] = data.draw(st.one_of(st.integers(-2, 5), st.sampled_from([10**400, True, 2.0, "2"])))
+
+
+def _bad_labels(doc, data):
+    doc["outcomes"] = data.draw(st.sampled_from([["0", "0"], ["0"], ["0", "1", "2"], [0, 1],
+                                                 ["0", None], ["0", ["1"]], ["1", "0"], ["é", "x"]]))
+
+
+def _matrix(doc, data):
+    """One effect matrix of the document, if it still has one."""
+    effects = doc.get("effects")
+    if isinstance(effects, list) and effects:
+        matrix = effects[data.draw(st.integers(0, len(effects) - 1))]
+        if isinstance(matrix, list) and matrix and all(isinstance(row, list) and row for row in matrix):
+            return matrix
+    return None
+
+
+def _entry(doc, data):
+    """(row, column) of one [re, im] entry of the document, if it still has one."""
+    matrix = _matrix(doc, data)
+    if matrix is None:
+        return None
+    row = matrix[data.draw(st.integers(0, len(matrix) - 1))]
+    return row, data.draw(st.integers(0, len(row) - 1))
+
+
+def _ragged_row(doc, data):
+    matrix = _matrix(doc, data)
+    if matrix is not None:
+        row = matrix[data.draw(st.integers(0, len(matrix) - 1))]
+        if data.draw(st.booleans()):
+            row.pop()
+        else:
+            row.append([0.0, 0.0])
+
+
+def _bad_entry(doc, data):
+    """A non-number, NaN, infinity, huge int or bool where a number or a pair belongs."""
+    entry = _entry(doc, data)
+    if entry is not None:
+        row, col = entry
+        junk = data.draw(st.sampled_from(_JUNK))
+        if data.draw(st.booleans()) and isinstance(row[col], list) and row[col]:
+            row[col][data.draw(st.integers(0, len(row[col]) - 1))] = junk
+        else:
+            row[col] = junk
+
+
+def _pair_length(doc, data):
+    entry = _entry(doc, data)
+    if entry is not None:
+        row, col = entry
+        row[col] = data.draw(st.sampled_from([[], [0.5], [0.5, 0.0, 0.0], {}]))
+
+
+def _any_number(doc, data):
+    """Any float, or an entry that breaks Hermiticity, at one place."""
+    entry = _entry(doc, data)
+    if entry is not None:
+        row, col = entry
+        row[col] = [data.draw(st.floats()), data.draw(st.floats(-1, 1))]
+
+
+def _scaled_effect(doc, data):
+    """A spectrum outside [0, 1] (the identity sum breaks with it)."""
+    matrix = _matrix(doc, data)
+    factor = data.draw(st.sampled_from([2.0, -1.0, 1 + 1e-6, 0.5]))
+    for row in matrix or []:
+        for z in row:
+            if isinstance(z, list) and all(isinstance(v, float) for v in z):
+                z[:] = [factor * v for v in z]
+
+
+def _mixed_dims(doc, data):
+    effects = doc.get("effects")
+    if isinstance(effects, list) and effects:
+        size = data.draw(st.sampled_from([1, 3]))
+        effects[data.draw(st.integers(0, len(effects) - 1))] = (
+            [[[1.0 / size if i == j else 0.0, 0.0] for j in range(size)] for i in range(size)])
+
+
+def _not_an_object(doc, data):
+    doc.clear()
+    doc["effects"] = data.draw(st.sampled_from(_JUNK))
+
+
+_MUTATIONS = [_drop_field, _retype_field, _wrong_dim, _bad_labels, _ragged_row, _bad_entry,
+              _pair_length, _any_number, _scaled_effect, _mixed_dims, _not_an_object]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    (path / "good.json").write_text(_observable_text(momentum_observable(2)), encoding="utf-8")
+    return path
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_mutated_files_keep_the_exit_code_contract(fuzz_dir, data):
+    # 0 or 1 with a JSON document on stdout; or 2 with one error line and no
+    # stdout; never an exception or a warning
+    doc = json.loads(_observable_text(momentum_observable(2)))
+    for mutate in data.draw(st.lists(st.sampled_from(_MUTATIONS), min_size=1, max_size=3)):
+        mutate(doc, data)
+    good, bad = str(fuzz_dir / "good.json"), str(fuzz_dir / "bad.json")
+    (fuzz_dir / "bad.json").write_text(json.dumps(doc), encoding="utf-8")
+    for argv in (["check", "all", good, bad], ["check", "all", bad, bad],
+                 ["coarse-grain", bad, "0|1"]):
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main(argv)
+        if code == 2:
+            lines = err.getvalue().splitlines()
+            assert out.getvalue() == "" and len(lines) == 1 and lines[0].startswith("error:")
+        else:
+            assert code in (0, 1)
+            json.loads(out.getvalue())
 
 
 class TestToleranceResolution:
