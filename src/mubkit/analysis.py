@@ -115,16 +115,21 @@ def _trace_table(a: Observable, b: Observable) -> np.ndarray:
     return linalg.frobenius(a.stack(), np.conjugate(b.stack().transpose(0, 2, 1), order="C"))
 
 
+def _verdict(devs: np.ndarray, mat_tol: float, witness) -> Verdict:
+    """The verdict of a nonempty deviation array: the worst case is its first maximum in
+    C order (``np.argmax``), named by ``witness(index, worst)`` only when above ``mat_tol``."""
+    k = int(np.argmax(devs))
+    worst = float(devs.flat[k])
+    return Verdict(worst <= mat_tol, worst, None if worst <= mat_tol else witness(k, worst))
+
+
 def _trace_verdict(a: Observable, b: Observable, table: np.ndarray, target: float,
                    mat_tol: float) -> Verdict:
     """Whether every tr(A_x B_y) in ``table`` equals ``target``; the witness is the worst pair."""
-    dev = np.abs(table - target)
-    i, j = np.unravel_index(np.argmax(dev), dev.shape)
-    witness = None
-    if dev[i, j] > mat_tol:
-        witness = {"x": a.outcomes[i], "y": b.outcomes[j],
-                   "observed": float(table[i, j]), "target": target}
-    return Verdict(bool(dev[i, j] <= mat_tol), float(dev[i, j]), witness)
+    def witness(k, worst):
+        i, j = divmod(k, len(b))
+        return {"x": a.outcomes[i], "y": b.outcomes[j], "observed": float(table[i, j]), "target": target}
+    return _verdict(np.abs(table - target), mat_tol, witness)
 
 
 def check_mu(a: Observable, b: Observable, tol: float | None = None) -> Verdict:
@@ -139,26 +144,23 @@ def check_mu(a: Observable, b: Observable, tol: float | None = None) -> Verdict:
 
 def _product_verdicts(a: Observable, b: Observable, passes: tuple[Products, Products],
                       mat_tol: float) -> tuple[Verdict, Verdict]:
-    """Conditions (1) and (2), from the product passes of (A, B) and (B, A)."""
+    """Conditions (1) and (2), from the product passes of (A, B) and (B, A). Condition
+    (1)'s deviations run A∘B by x, then B∘A by y; condition (2)'s (B|A) by y, then (A|B) by x."""
     (dev_ab, y_of, given_a, _), (dev_ba, x_of, given_b, _) = passes
-    i, j = int(np.argmax(dev_ab)), int(np.argmax(dev_ba))
-    if dev_ab[i] >= dev_ba[j]:
-        worst = float(dev_ab[i])
-        witness = {"x": a.outcomes[i], "y": b.outcomes[y_of[i]], "side": "A∘B", "deviation": worst}
-    else:
-        worst = float(dev_ba[j])
-        witness = {"x": a.outcomes[x_of[j]], "y": b.outcomes[j], "side": "B∘A", "deviation": worst}
-    c1 = Verdict(worst <= mat_tol, worst, witness if worst > mat_tol else None)
+    m, n = len(a), len(b)
+
+    def witness1(k, worst):
+        x, y, side = (k, y_of[k], "A∘B") if k < m else (x_of[k - m], k - m, "B∘A")
+        return {"x": a.outcomes[x], "y": b.outcomes[y], "side": side, "deviation": worst}
+
+    def witness2(k, worst):
+        side, obs, k = ("B|A", b, k) if k < n else ("A|B", a, k - n)
+        return {"outcome": obs.outcomes[k], "side": side, "deviation": worst}
+
     eye = np.eye(a.dim)
-    worst = 0.0
-    witness = None
-    for side, obs, conditioned in (("B|A", b, given_a), ("A|B", a, given_b)):
-        devs = linalg.max_abs_each(conditioned - eye / len(obs))
-        k = int(np.argmax(devs))
-        if devs[k] > worst:
-            worst = float(devs[k])
-            witness = {"outcome": obs.outcomes[k], "side": side, "deviation": worst}
-    return c1, Verdict(worst <= mat_tol, worst, witness if worst > mat_tol else None)
+    devs2 = [linalg.max_abs_each(given_a - eye / n), linalg.max_abs_each(given_b - eye / m)]
+    return (_verdict(np.concatenate([dev_ab, dev_ba]), mat_tol, witness1),
+            _verdict(np.concatenate(devs2), mat_tol, witness2))
 
 
 def check_condition1(a: Observable, b: Observable, tol: float | None = None) -> Verdict:
@@ -205,39 +207,29 @@ def _certainty_deviations(first: Observable, second: Observable, target: float,
 
 def _complementarity_verdict(a: Observable, b: Observable, tol: float | None,
                              tables: tuple[LineTable, LineTable]) -> Verdict:
-    """Value complementarity, reading the line tables of (A, B) and (B, A)."""
+    """Value complementarity, reading the line tables of (A, B) and (B, A). Its
+    deviations run side A, then side B: each certain x in order, over the other side's y."""
     mat_tol, eig_tol = linalg.tols(a.dim, tol)
-    worst = 0.0
-    worst_case = None
-    found_subspace = False
-    for side, first, second, target, table in (("A", a, b, 1.0 / len(b), tables[0]),
-                                               ("B", b, a, 1.0 / len(a), tables[1])):
-        devs = _certainty_deviations(first, second, target, eig_tol, table)
-        found_subspace = found_subspace or bool(devs)
-        for x, dev in devs:
-            k = int(np.argmax(dev))
-            if dev[k] > worst:
-                worst = float(dev[k])
-                worst_case = (side, first, x, second, k, target)
-    if not found_subspace:
+    cases = [(side, first, x, second, target, dev)
+             for side, first, second, target, table in (("A", a, b, 1.0 / len(b), tables[0]),
+                                                        ("B", b, a, 1.0 / len(a), tables[1]))
+             for x, dev in _certainty_deviations(first, second, target, eig_tol, table)]
+    if not cases:
         return Verdict(True, 0.0, None, vacuous=True)
-    witness = None
-    if worst > mat_tol:
-        side, first, x, second, y, target = worst_case
+    ends = np.cumsum([len(case[-1]) for case in cases])
+
+    def witness(k, worst):
+        c = int(np.searchsorted(ends, k, side="right"))
+        side, first, x, second, target, dev = cases[c]
+        y = k - int(ends[c]) + len(dev)
         basis = first.effects[x].unit_eigenspace(eig_tol)
         compressed = basis.conj().T @ second.effects[y].matrix @ basis
         w, v = np.linalg.eigh((compressed + compressed.conj().T) / 2.0)
-        k = int(np.argmax(np.abs(w - target)))
-        state = basis @ v[:, k]
-        witness = {
-            "side": side,
-            "certain_outcome": first.outcomes[x],
-            "other_outcome": second.outcomes[y],
-            "state": tuple((float(z.real), float(z.imag)) for z in state),
-            "observed": float(w[k]),
-            "target": target,
-        }
-    return Verdict(worst <= mat_tol, worst, witness)
+        j = int(np.argmax(np.abs(w - target)))
+        return {"side": side, "certain_outcome": first.outcomes[x], "other_outcome": second.outcomes[y],
+                "state": tuple((float(z.real), float(z.imag)) for z in basis @ v[:, j]),
+                "observed": float(w[j]), "target": target}
+    return _verdict(np.concatenate([case[-1] for case in cases]), mat_tol, witness)
 
 
 def check_value_complementary(a: Observable, b: Observable,
@@ -268,8 +260,7 @@ def forced_alpha(a: Observable, b: Observable) -> float:
 def check_generalized_mu(a: Observable, b: Observable, tol: float | None = None) -> Verdict:
     """tr(A_x B_y) = d/(m n) for every outcome pair."""
     require_same_dim(a, b)
-    mat_tol, _ = linalg.tols(a.dim, tol)
-    return _trace_verdict(a, b, _trace_table(a, b), forced_alpha(a, b), mat_tol)
+    return _trace_verdict(a, b, _trace_table(a, b), forced_alpha(a, b), linalg.tols(a.dim, tol)[0])
 
 
 def check_partition_criterion(fa: PartitionMap, fb: PartitionMap) -> PartitionCriterion:

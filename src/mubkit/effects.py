@@ -21,17 +21,18 @@ class Effect:
     square root calls never re-diagonalize. Instances are immutable.
     """
 
-    __slots__ = ("matrix", "_spectral", "_factor", "_sqrt", "_complement")
+    __slots__ = ("matrix", "_spectral", "_zero", "_factor", "_sqrt", "_complement")
 
     def __init__(self, matrix, tol: float | None = None):
         m = linalg.as_matrix(matrix)
         (checked,), _ = effects_of(m[None], tol)
-        self._set(m, checked.spectral)
+        self._set(m, checked.spectral, checked._zero)
 
-    def _set(self, m: np.ndarray, spectral: linalg.SpectralDecomposition) -> "Effect":
-        """Keep a matrix and its checked decomposition; returns the effect."""
+    def _set(self, m: np.ndarray, spectral: linalg.SpectralDecomposition, zero: float) -> "Effect":
+        """Keep a matrix, its checked decomposition and zero band (``factor``); returns the effect."""
         self.matrix = m
         self._spectral = spectral
+        self._zero = zero
         self._factor = None
         self._sqrt = None
         self._complement = None
@@ -49,15 +50,17 @@ class Effect:
         """Rank factor (V_r, sqrt(w_r)) of the square root, computed once.
 
         V_r (d x r) holds the eigenvectors whose eigenvalues w_r are at
-        least ``EIGENVALUE_TOL``; eigenvalues inside that band are snapped
-        to zero, since otherwise the root amplifies 1e-17 solver noise on
-        projections to 3e-9 and sequential products lose six digits. So
+        least the zero band max(eig_tol, ``EIGENVALUE_TOL``) of the effect's
+        validation; eigenvalues inside it are snapped to zero, since otherwise
+        the root amplifies 1e-17 solver noise on projections to 3e-9 (six
+        digits lost in sequential products) and gives an effect validated
+        as atomic a rank-two root. So
         sqrt(A) = V_r diag(sqrt(w_r)) V_r*, and r is the rank the products
         see: 1 for atomic effects, whose products A o B are then w v*Bv vv*.
         """
         if self._factor is None:
             w, v = self._spectral
-            keep = w >= linalg.EIGENVALUE_TOL
+            keep = w >= self._zero
             self._factor = (linalg.freeze(v[:, keep]), linalg.freeze(np.sqrt(w[keep])))
         return self._factor
 
@@ -113,18 +116,20 @@ def effects_of(stack: np.ndarray, tol: float | None = None
     ``linalg.hermitian_eigs`` pass, then one vector test that every spectrum
     lies in [0, 1] within the eigenvalue tolerance (NaN fails it).
 
-    Returns the effects, read-only views of the stack and of its stacked
-    decomposition, and that decomposition. Raises the error of some invalid
-    matrix, not necessarily the first.
+    Returns the effects (read-only views of the stack and of its stacked
+    decomposition, with the zero band max(eig_tol, ``EIGENVALUE_TOL``)) and
+    that decomposition. Raises the error of some invalid matrix, not
+    necessarily the first.
     """
     spectral = linalg.hermitian_eigs(stack, tol)
     _, eig_tol = linalg.tols(stack.shape[-1], tol)
+    zero = max(eig_tol, linalg.EIGENVALUE_TOL)
     low, high = spectral.eigenvalues[:, 0], spectral.eigenvalues[:, -1]
     bad = np.flatnonzero(~((low >= -eig_tol) & (high <= 1.0 + eig_tol)))
     if len(bad):
         value = low[bad[0]] if not low[bad[0]] >= -eig_tol else high[bad[0]]
         raise SpectrumOutOfRange(f"eigenvalue {value!r} outside [0, 1] by more than {eig_tol:.3e}")
-    return [Effect.__new__(Effect)._set(m, linalg.SpectralDecomposition(w, v))
+    return [Effect.__new__(Effect)._set(m, linalg.SpectralDecomposition(w, v), zero)
             for m, w, v in zip(stack, *spectral)], spectral
 
 

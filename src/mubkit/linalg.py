@@ -21,7 +21,9 @@ import numpy as np
 
 from .errors import DimMismatch, InvalidParams, NonFinite, NotHermitian
 
-#: Tolerance used when classifying individual eigenvalues (zero? one?).
+#: Default tolerance for classifying individual eigenvalues (zero? one?), and
+#: the least zero band: below max(eig_tol, EIGENVALUE_TOL) of its validation,
+#: an effect's eigenvalue is zero for its square root and the line table.
 EIGENVALUE_TOL = 1e-9
 
 #: Largest ||H - v v*||_F at which ``hermitian_eigs`` certifies H as rank

@@ -188,13 +188,13 @@ def line_table(a: Observable, b: Observable) -> tuple[LineTable, np.ndarray]:
     """The line table of the ordered pair (A, B), and the (K, d, d)
     projection stack P of its lines.
 
-    A_x is rank one when exactly one eigenvalue is at least
-    ``EIGENVALUE_TOL`` (the rule of ``Effect.factor``), counted for all x at
-    once over ``spectra``; v is that eigenvalue's eigenvector, the last
+    A_x is rank one when exactly one eigenvalue is at least the zero band
+    that A's effects share (the rule of ``Effect.factor``), counted for all
+    x at once over ``spectra``; v is that eigenvalue's eigenvector, the last
     column, read from the eigenvector stack. The forms are one real GEMM of
     B's stack against P's float view (``linalg.frobenius``).
     """
-    index = ((a.spectra() >= linalg.EIGENVALUE_TOL).sum(axis=-1) == 1).nonzero()[0]
+    index = ((a.spectra() >= a.effects[0]._zero).sum(axis=-1) == 1).nonzero()[0]
     vectors = a._spectral.eigenvectors[index, :, -1].T
     projections = linalg.projections(vectors)
     return LineTable(index, vectors, linalg.frobenius(b.stack(), projections)), projections

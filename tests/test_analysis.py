@@ -18,15 +18,17 @@ from mubkit.analysis import (
     forced_alpha,
 )
 from mubkit.effects import Effect, State
-from mubkit.errors import DimMismatch, InternalInconsistency, InvalidParams, NotAtomic
+from mubkit.errors import DimMismatch, InternalInconsistency, InvalidParams, MubkitError, NotAtomic
 from mubkit.fourier import example_partitions, momentum_observable, position_observable
 from mubkit.observables import (
     Observable,
     PartitionMap,
     coarse_grain,
+    conjugate,
     iter_partition_maps,
+    products,
 )
-from mubkit.oracle import random_observable
+from mubkit.oracle import random_observable, random_unitary
 
 
 def equal_trace_diagonal():
@@ -424,6 +426,71 @@ class TestUserTolerance:
     @pytest.mark.parametrize("tol", [1e-6, 1, np.float64(1e-9), np.float32(1e-6)])
     def test_real_positive_tol_is_accepted(self, tol):
         assert check_condition1(position_observable(4), momentum_observable(4), tol=tol).holds
+
+
+class TestToleranceEdges:
+    """An observable is classified at the tolerance it was validated with:
+    an eigenvalue that validation counts as zero is zero for the square root
+    and the line table too."""
+
+    TOL = 1e-6
+
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8])
+    def test_moved_weight_gives_verdicts(self, dim):
+        # weight eps moved between two effects of a Haar rank-one basis; at
+        # eps = tol/2 the square root once kept a sqrt(eps) line and
+        # classify_pair raised InternalInconsistency
+        rng = np.random.default_rng(dim)
+        u = random_unitary(dim, rng)
+        partners = [conjugate(momentum_observable(dim), u), conjugate(position_observable(dim), u),
+                    random_observable(dim, dim, "atomic", rng)]
+        classified = 0
+        for eps in (self.TOL / 2, self.TOL, 2 * self.TOL, linalg.CERTIFICATE_TOL):
+            for signed in (eps, -eps):
+                effs = [np.outer(c, c.conj()) for c in u.T]
+                effs[0] = effs[0] + signed * effs[1]
+                effs[1] = (1 - signed) * effs[1]
+                try:
+                    a = Observable([str(j) for j in range(dim)], effs, tol=self.TOL)
+                except MubkitError:  # outside [0, 1] by more than tol
+                    continue
+                for b in partners:
+                    for first, second in ((a, b), (b, a)):
+                        assert isinstance(classify_pair(first, second, tol=self.TOL), PairReport)
+                        classified += 1
+        assert classified >= 4 * 2 * len(partners)
+
+    def test_square_root_snaps_inside_the_validation_tolerance(self):
+        m = np.diag([1 - 5e-7, 5e-7, 0.0]).astype(complex)
+        assert Effect(m, tol=self.TOL).factor()[0].shape == (3, 1)
+        assert Effect(m).factor()[0].shape == (3, 2)
+
+
+class TestTies:
+    """Exact ties name the first location in each verdict's order (dyadic,
+    diagonal inputs: the same bits on every platform)."""
+
+    def test_trace_verdicts_name_the_first_pair(self):
+        q = position_observable(2)
+        for verdict in (check_mu(q, q), check_generalized_mu(q, q)):
+            assert verdict.max_deviation == 0.5
+            assert (verdict.witness["x"], verdict.witness["y"]) == ("0", "0")
+
+    def test_product_and_certainty_verdicts_name_the_first_location(self):
+        q = position_observable(4)
+        a = coarse_grain(q, PartitionMap(q.outcomes, ("0", "1"), {"0": "0", "1": "0", "2": "1", "3": "1"}))
+        b = coarse_grain(q, PartitionMap(q.outcomes, ("0", "1"), {"0": "0", "2": "0", "1": "1", "3": "1"}))
+        rep = classify_pair(a, b)
+        for verdict in (rep.condition1, rep.condition2, rep.value_complementary):
+            assert verdict.max_deviation == 0.5
+        assert rep.condition1.witness == {"x": "0", "y": "0", "side": "A∘B", "deviation": 0.5}
+        assert rep.condition2.witness == {"outcome": "0", "side": "B|A", "deviation": 0.5}
+        vc = dict(rep.value_complementary.witness)
+        del vc["state"]
+        assert vc == {"side": "A", "certain_outcome": "0", "other_outcome": "0",
+                      "observed": 0.0, "target": 0.5}
+        for first, second in ((a, b), (b, a)):
+            assert products(first, second).where.tolist() == [0, 0]
 
 
 class TestReconcile:

@@ -217,7 +217,11 @@ class TestFileText:
         want = momentum_observable(64)
         assert dim == 64
         assert np.array_equal(observable_from_json(raw).stack(), want.stack())
-        assert path.read_bytes() == _observable_text(want).encode("utf-8")
+        # every field, and every number bit for bit with signed zeros (the
+        # indented layout is pinned by test_construct_kinds and the writer test)
+        assert list(raw) == ["dim", "outcomes", "effects"] and raw["outcomes"] == list(want.outcomes)
+        bits = np.stack([want.stack().real, want.stack().imag], -1).view(np.uint64)
+        assert np.array_equal(np.array(raw["effects"], dtype=float).view(np.uint64), bits)
 
 
 WORKED_PAIRS = {
@@ -448,6 +452,21 @@ class TestCheck:
             assert code in (0, 1)
             assert report_from_json(json.loads(out)["report"]) == report
             assert report_from_json(report_to_json(report)) == report
+
+    @pytest.mark.parametrize("dim", [16, 32])
+    def test_rounded_momentum_file_checks_clean(self, tmp_path, capsys, dim):
+        # rounding to 9 decimals leaves eigenvalues between EIGENVALUE_TOL and
+        # the validation tolerance 1e-9*dim; the square root once kept them,
+        # and `check all` exited 2 with an InternalInconsistency
+        p = momentum_observable(dim)
+        doc = {"dim": dim, "outcomes": list(p.outcomes),
+               "effects": np.round(np.stack([p.stack().real, p.stack().imag], -1), 9).tolist()}
+        (tmp_path / "p.json").write_text(json.dumps(doc), encoding="utf-8")
+        (tmp_path / "q.json").write_text(_observable_text(position_observable(dim)), encoding="utf-8")
+        code, out, err = run(["check", "all", str(tmp_path / "p.json"), str(tmp_path / "q.json")], capsys)
+        assert code == 0, err
+        verdicts = json.loads(out)["report"]["verdicts"]
+        assert all(v["holds"] for v in verdicts.values())
 
     def test_report_text_is_the_dataclass_fields_in_order(self, tmp_path, capsys, monkeypatch):
         # (Q', P''): a value-complementarity witness with a state, and no mu
