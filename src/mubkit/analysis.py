@@ -28,7 +28,7 @@ built.
 
 * Conditions (1) and (2) read one product pass per ordered pair,
   ``observables.products``: it makes each A_x o B_y once and reduces it
-  into condition (1)'s worst deviation and the sum (B|A)_y. A rank-one
+  into condition (1)'s (m, n) deviation table and the sum (B|A)_y. A rank-one
   effect A_x = w_x v v* (the split is read once from ``spectra``) gives
   A_x o B_y = c_xy P_x with P_x = v v*, one number per product. Its line
   table (``observables.line_table``) holds v and the forms Re <B_y, P_x>,
@@ -144,14 +144,15 @@ def check_mu(a: Observable, b: Observable, tol: float | None = None) -> Verdict:
 
 def _product_verdicts(a: Observable, b: Observable, passes: tuple[Products, Products],
                       mat_tol: float) -> tuple[Verdict, Verdict]:
-    """Conditions (1) and (2), from the product passes of (A, B) and (B, A). Condition
-    (1)'s deviations run A∘B by x, then B∘A by y; condition (2)'s (B|A) by y, then (A|B) by x."""
-    (dev_ab, y_of, given_a, _), (dev_ba, x_of, given_b, _) = passes
+    """Conditions (1) and (2), from the product passes of (A, B) and (B, A). Condition (1)'s
+    deviations run A∘B by (x, y), then B∘A by (y, x); condition (2)'s (B|A) by y, then (A|B) by x."""
+    (dev_ab, given_a, _), (dev_ba, given_b, _) = passes
     m, n = len(a), len(b)
 
     def witness1(k, worst):
-        x, y, side = (k, y_of[k], "A∘B") if k < m else (x_of[k - m], k - m, "B∘A")
-        return {"x": a.outcomes[x], "y": b.outcomes[y], "side": side, "deviation": worst}
+        s, k = divmod(k, m * n)
+        x, y = divmod(k, n) if s == 0 else divmod(k, m)[::-1]
+        return {"x": a.outcomes[x], "y": b.outcomes[y], "side": ("A∘B", "B∘A")[s], "deviation": worst}
 
     def witness2(k, worst):
         side, obs, k = ("B|A", b, k) if k < n else ("A|B", a, k - n)
@@ -159,7 +160,7 @@ def _product_verdicts(a: Observable, b: Observable, passes: tuple[Products, Prod
 
     eye = np.eye(a.dim)
     devs2 = [linalg.max_abs_each(given_a - eye / n), linalg.max_abs_each(given_b - eye / m)]
-    return (_verdict(np.concatenate([dev_ab, dev_ba]), mat_tol, witness1),
+    return (_verdict(np.concatenate([dev_ab, dev_ba], axis=None), mat_tol, witness1),
             _verdict(np.concatenate(devs2), mat_tol, witness2))
 
 
@@ -175,53 +176,44 @@ def check_condition2(a: Observable, b: Observable, tol: float | None = None) -> 
     return _product_verdicts(a, b, (products(a, b), products(b, a)), linalg.tols(a.dim, tol)[0])[1]
 
 
-def _certainty_deviations(first: Observable, second: Observable, target: float,
-                          eig_tol: float, table: LineTable) -> list[tuple[int, np.ndarray]]:
-    """(x, max_abs(P S_y P - target P) over y) for each x of ``first`` with a
-    certainty subspace (the eigenvalue-1 eigenspace of A_x, basis U,
-    P = U U*) other than {0}, in order; S_y are the effects of ``second``.
-
-    On A_x's own line (one unit eigenvalue, the top one, and A_x rank one)
-    the matrix is (v* S_y v - target) v v*, of entrywise max
-    |Re <S_y, v v*> - target| max_i |v_i|^2: a column of ``table``, the
-    line table of (first, second). Every other subspace compresses S_y to
-    k x k and lifts back.
-    """
-    units = np.abs(first.spectra() - 1.0) <= eig_tol
+def _certainty_deviations(first: Observable, second: Observable, units: np.ndarray,
+                          table: LineTable) -> np.ndarray:
+    """max_abs(P S_y P - P / n) as an (m, n) table, S_y the n effects of
+    ``second`` and P = U U* for the certainty subspace of A_x (the eigenvalue-1
+    eigenspace, marked in ``units``, basis U). A row with none holds 0, P = 0.
+    On A_x's own line (one unit eigenvalue, the top one, and A_x rank one) the
+    matrix is (v* S_y v - 1/n) v v*, of entrywise max |Re <S_y, v v*> - 1/n|
+    max_i |v_i|^2: a column of ``table``, the line table of (first, second).
+    Every other subspace compresses S_y to k x k and lifts back."""
+    target = 1.0 / len(second)
+    devs = np.zeros((len(first), len(second)))
     counts = units.sum(axis=-1)
-    certain = counts.nonzero()[0].tolist()
-    line = (counts == 1) & units[:, -1]
-    devs = {}
-    if line.any():
-        own = line[table.index]
+    own = ((counts == 1) & units[:, -1])[table.index]
+    if own.any():
         scale = np.max(np.abs(table.vectors[:, own]), axis=0) ** 2
-        closed = np.abs(table.forms[:, own] - target) * scale
-        devs = dict(zip(table.index[own].tolist(), closed.T))
-    for x in certain:
-        if x not in devs:
-            u = first.effects[x].spectral.eigenvectors[:, units[x]]  # unit_eigenspace(eig_tol)
-            core = u.conj().T @ second.stack() @ u - target * np.eye(u.shape[1])
-            devs[x] = linalg.max_abs_each(u @ core @ u.conj().T)
-    return [(x, devs[x]) for x in certain]
+        devs[table.index[own]] = (np.abs(table.forms[:, own] - target) * scale).T
+        counts[table.index[own]] = 0  # their lines are done
+    for x in counts.nonzero()[0]:
+        u = first.effects[x].spectral.eigenvectors[:, units[x]]  # unit_eigenspace(eig_tol)
+        core = u.conj().T @ second.stack() @ u - target * np.eye(u.shape[1])
+        devs[x] = linalg.max_abs_each(u @ core @ u.conj().T)
+    return devs
 
 
 def _complementarity_verdict(a: Observable, b: Observable, tol: float | None,
                              tables: tuple[LineTable, LineTable]) -> Verdict:
     """Value complementarity, reading the line tables of (A, B) and (B, A). Its
-    deviations run side A, then side B: each certain x in order, over the other side's y."""
+    deviations run side A, then side B: each x in order, over the other side's y."""
     mat_tol, eig_tol = linalg.tols(a.dim, tol)
-    cases = [(side, first, x, second, target, dev)
-             for side, first, second, target, table in (("A", a, b, 1.0 / len(b), tables[0]),
-                                                        ("B", b, a, 1.0 / len(a), tables[1]))
-             for x, dev in _certainty_deviations(first, second, target, eig_tol, table)]
-    if not cases:
+    sides = (("A", a, b), ("B", b, a))
+    units = [np.abs(obs.spectra() - 1.0) <= eig_tol for obs in (a, b)]
+    if not (units[0].any() or units[1].any()):
         return Verdict(True, 0.0, None, vacuous=True)
-    ends = np.cumsum([len(case[-1]) for case in cases])
 
     def witness(k, worst):
-        c = int(np.searchsorted(ends, k, side="right"))
-        side, first, x, second, target, dev = cases[c]
-        y = k - int(ends[c]) + len(dev)
+        side, first, second = sides[k // (len(a) * len(b))]
+        x, y = divmod(k % (len(a) * len(b)), len(second))
+        target = 1.0 / len(second)
         basis = first.effects[x].unit_eigenspace(eig_tol)
         compressed = basis.conj().T @ second.effects[y].matrix @ basis
         w, v = np.linalg.eigh((compressed + compressed.conj().T) / 2.0)
@@ -229,7 +221,9 @@ def _complementarity_verdict(a: Observable, b: Observable, tol: float | None,
         return {"side": side, "certain_outcome": first.outcomes[x], "other_outcome": second.outcomes[y],
                 "state": tuple((float(z.real), float(z.imag)) for z in basis @ v[:, j]),
                 "observed": float(w[j]), "target": target}
-    return _verdict(np.concatenate([case[-1] for case in cases]), mat_tol, witness)
+    devs = [_certainty_deviations(first, second, u, table)
+            for (_, first, second), u, table in zip(sides, units, tables)]
+    return _verdict(np.concatenate(devs, axis=None), mat_tol, witness)
 
 
 def check_value_complementary(a: Observable, b: Observable,

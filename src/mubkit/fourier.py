@@ -27,19 +27,13 @@ def position_observable(dim: int) -> Observable:
     """Atomic observable of the standard basis: Q_j = |e_j><e_j|."""
     if not isinstance(dim, (int, np.integer)) or dim < 1:
         raise InvalidDim(f"dimension must be a positive integer, got {dim!r}")
-    effs = []
-    for j in range(dim):
-        e = np.zeros((dim, dim), dtype=complex)
-        e[j, j] = 1.0
-        effs.append(e)
-    return Observable([str(j) for j in range(dim)], effs)
+    return Observable([str(j) for j in range(dim)], linalg.projections(np.eye(dim, dtype=complex)))
 
 
 def momentum_observable(dim: int) -> Observable:
     """Atomic observable of the Fourier basis: P_j = |F e_j><F e_j|."""
-    f = fourier_matrix(dim)
-    effs = [np.outer(f[:, j], f[:, j].conj()) for j in range(dim)]
-    return Observable([str(j) for j in range(dim)], effs)
+    f = fourier_matrix(dim)  # validates dim before the labels use it
+    return Observable([str(j) for j in range(dim)], linalg.projections(f))
 
 
 @dataclass(frozen=True)

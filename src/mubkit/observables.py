@@ -201,17 +201,18 @@ def line_table(a: Observable, b: Observable) -> tuple[LineTable, np.ndarray]:
 
 
 class Products(NamedTuple):
-    """Every sequential product A_x o B_y of a pair, reduced as it is made."""
+    """Every sequential product A_x o B_y of a pair, reduced as it is made. A lifted A_x
+    fills its row of ``deviations``; a rank-one A_x only the y of its lowest and highest
+    coefficient, the rest 0: the deviation is convex in it, so each row's max is exact."""
 
-    worst: np.ndarray        # (m,): max over y of max_abs(A_x o B_y - A_x / n)
-    where: np.ndarray        # (m,): the y attaining it
+    deviations: np.ndarray   # (m, n): max_abs(A_x o B_y - A_x / n), as above
     conditioned: np.ndarray  # (n, d, d): (B|A)_y = sum_x A_x o B_y, Hermitian, not validated
     lines: LineTable         # the rank-one A_x against B, without their projections
 
 
 def products(a: Observable, b: Observable) -> Products:
     """Make every A_x o B_y once and reduce it as it is made: into condition
-    (1)'s worst deviation from A_x / n and into the running sum (B|A)_y.
+    (1)'s deviation table (``Products``) and into the running sum (B|A)_y.
 
     The one place that chooses how a product is made. For a rank-one
     effect A_x = w_x v v* (``line_table``), A_x o B_y = c_xy P_x with
@@ -230,37 +231,30 @@ def products(a: Observable, b: Observable) -> Products:
     B's Hermitian part, as the symmetrized ``effects.seq_matrix`` does.
     """
     scale = 1.0 / len(b)
-    worst = np.zeros(len(a))
-    where = np.zeros(len(a), dtype=int)
+    devs = np.zeros((len(a), len(b)))
     lines, projections = line_table(a, b)
-    ones = lines.index.tolist()
+    ones = lines.index
     coeffs = lines.forms * a.spectra()[ones, -1]
     total = (coeffs @ linalg.real_rows(projections)).view(complex).reshape(len(b), a.dim, a.dim)
-    if ones:
-        targets = scale * a.stack()[ones]
-        cols = np.arange(len(ones))
-        lo, hi = coeffs.argmin(axis=0), coeffs.argmax(axis=0)
-        dev_lo, dev_hi = (linalg.max_abs_each(coeffs[ys, cols, None, None] * projections - targets)
-                          for ys in (lo, hi))
-        worst[ones] = np.maximum(dev_lo, dev_hi)
-        where[ones] = np.where(dev_hi > dev_lo, hi, lo)
-    rest = [x for x in range(len(a)) if x not in ones]
-    if rest:
+    if len(ones):
+        targets, cols = scale * a.stack()[ones], np.arange(len(ones))
+        for ys in (coeffs.argmin(axis=0), coeffs.argmax(axis=0)):
+            devs[ones, ys] = linalg.max_abs_each(coeffs[ys, cols, None, None] * projections - targets)
+    lifted = np.bincount(ones, minlength=len(a)) == 0
+    if lifted.any():
         rows = linalg.hermitian_part(b.stack()).reshape(len(b) * a.dim, a.dim)
         lifts, half = np.empty_like(total), np.empty_like(total)
         mag = np.empty(total.shape)
         lift_rows, half_rows = lifts.reshape(rows.shape), half.reshape(rows.shape)
-        for x in rest:
+        for x in lifted.nonzero()[0]:
             root = a.effects[x].sqrt()
             np.matmul(rows, root, out=lift_rows)
             np.conjugate(lifts.swapaxes(-1, -2), out=half)
             np.matmul(half_rows, root, out=lift_rows)
             np.subtract(lifts, scale * a.effects[x].matrix, out=half)
-            devs = np.abs(half, out=mag).max(axis=(-2, -1))
-            where[x] = int(np.argmax(devs))
-            worst[x] = devs[where[x]]
+            np.max(np.abs(half, out=mag), axis=(-2, -1), out=devs[x])
             total += lifts
-    return Products(worst, where, linalg.hermitian_part(total), lines)
+    return Products(devs, linalg.hermitian_part(total), lines)
 
 
 def conditioned(b: Observable, a: Observable, tol: float | None = None) -> Observable:
@@ -341,6 +335,8 @@ def coexistence_witness(a: Observable, b: Observable, tol: float | None = None) 
 
 def conjugate(a: Observable, u: np.ndarray, tol: float | None = None) -> Observable:
     """Apply the unitary change of basis E -> U E U* to every effect."""
+    if np.shape(u) != (a.dim, a.dim):
+        raise DimMismatch(f"unitary has shape {np.shape(u)}, the effects are {(a.dim, a.dim)}")
     return Observable(a.outcomes, u @ a.stack() @ u.conj().T, tol)
 
 

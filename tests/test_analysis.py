@@ -472,7 +472,7 @@ class TestTies:
 
     def test_trace_verdicts_name_the_first_pair(self):
         q = position_observable(2)
-        for verdict in (check_mu(q, q), check_generalized_mu(q, q)):
+        for verdict in (check_mu(q, q), check_generalized_mu(q, q), check_condition1(q, q)):
             assert verdict.max_deviation == 0.5
             assert (verdict.witness["x"], verdict.witness["y"]) == ("0", "0")
 
@@ -490,7 +490,7 @@ class TestTies:
         assert vc == {"side": "A", "certain_outcome": "0", "other_outcome": "0",
                       "observed": 0.0, "target": 0.5}
         for first, second in ((a, b), (b, a)):
-            assert products(first, second).where.tolist() == [0, 0]
+            assert products(first, second).deviations.tolist() == [[0.5, 0.5], [0.5, 0.5]]
 
 
 class TestReconcile:

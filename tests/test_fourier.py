@@ -78,6 +78,8 @@ def test_invalid_dim(bad):
         fourier_matrix(bad)
     with pytest.raises(InvalidDim):
         position_observable(bad)
+    with pytest.raises(InvalidDim):
+        momentum_observable(bad)
 
 
 def test_unitarity_up_to_32():

@@ -1,3 +1,4 @@
+import re
 from unittest import mock
 
 import numpy as np
@@ -382,6 +383,11 @@ class TestConjugate:
             want = np.array([u @ e.matrix @ u.conj().T for e in obs.effects])
             assert conjugate(obs, u).stack().tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 3), (3, 4), (4,), (), (1, 4, 4)])
+    def test_a_unitary_of_another_shape_is_a_dim_mismatch(self, shape):
+        with pytest.raises(DimMismatch, match=rf"{re.escape(str(shape))}.*\(4, 4\)"):
+            conjugate(position_observable(4), np.ones(shape, dtype=complex))
+
 
 class TestStackedPredicates:
     """``Observable.is_sharp`` and ``is_atomic`` read one eigenvalue stack;
@@ -442,8 +448,15 @@ class TestProducts:
         lifts = np.array([[seq_matrix(ax, by) for by in b.effects] for ax in a.effects])
         devs = np.abs(lifts - a.stack()[:, None] / n).max(axis=(-2, -1))
         assert np.abs(got.conditioned - lifts.sum(axis=0)).max() <= 1e-15
-        assert np.abs(got.worst - devs.max(axis=1)).max() <= 1e-15
-        assert np.abs(devs[np.arange(len(a)), got.where] - got.worst).max() <= 1e-15
+        assert np.abs(got.deviations.max(axis=1) - devs.max(axis=1)).max() <= 1e-15
+        # a lifted row holds every y; a rank-one row its lowest- and highest-coefficient y, else 0
+        evaluated = np.ones(devs.shape, dtype=bool)
+        coeffs = got.lines.forms * a.spectra()[got.lines.index, -1]
+        evaluated[got.lines.index] = False
+        for k, x in enumerate(got.lines.index):
+            evaluated[x, [coeffs[:, k].argmin(), coeffs[:, k].argmax()]] = True
+        assert np.abs(got.deviations - devs)[evaluated].max() <= 1e-15
+        assert not got.deviations[~evaluated].any()
 
     @pytest.mark.parametrize("build", sorted(LIFT_FACTOR_CASES))
     def test_lift_factors_are_exactly_hermitian(self, build):
