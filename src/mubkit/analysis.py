@@ -23,26 +23,25 @@ comparison a checker makes.
 
 The checkers are array programs over each observable's (m, d, d) stack.
 A product pass holds stacks of at most m or n matrices, so extra memory
-stays O((m + n) d^2); the (m, n, d, d) array of all products is never
-built.
+stays O((m + n) d^2); the (m, n, d, d) array of all products is never built.
 
 * Conditions (1) and (2) read one product pass per ordered pair,
   ``observables.products``: it makes each A_x o B_y once and reduces it
   into condition (1)'s (m, n) deviation table and the sum (B|A)_y. A rank-one
-  effect A_x = w_x v v* (the split is read once from ``spectra``) gives
-  A_x o B_y = c_xy P_x with P_x = v v*, one number per product. Its line
-  table (``observables.line_table``) holds v and the forms Re <B_y, P_x>,
-  one real GEMM over the projection stack's float view, and their part
-  of (B|A) is one more, so an atomic pair costs O(d^4), not O(d^5). Every
-  other effect is lifted to sqrt(A_x) B_y sqrt(A_x), all y at once in two
-  (n d x d) x (d x d) GEMMs; the bits equal n separate d x d products
-  only when d is a multiple of 4.
+  effect A_x = w_x v v* gives A_x o B_y = c_xy P_x with P_x = v v*, one number
+  per product, from the forms Re <B_y, P_x> of the line table
+  (``observables.line_table``); their part of (B|A) is one real GEMM over
+  the projection stack, so an atomic pair costs O(d^4), not O(d^5). Its row
+  of the table is |c_xy - w_x/n| max|v|^2 in full when ``hermitian_eigs``
+  certified A_x, else only the lowest and highest c_xy, evaluated. Every
+  other effect is lifted to sqrt(A_x) B_y sqrt(A_x), all y in two GEMMs.
 * Value complementarity on a certainty subspace that is a rank-one
   effect's own line is |Re <B_y, P_x> - 1/n| max|v|^2, a column of that
   line table; other certainty subspaces are compressed to k x k.
-* The trace table behind ``check_mu`` and ``check_generalized_mu`` is one
-  real (m, 2d^2) x (2d^2, n) product of the flattened stacks; it and the
-  forms are ``linalg.frobenius`` calls.
+* The trace table behind ``check_mu`` and ``check_generalized_mu``, and the
+  forms, are one d x d Gram GEMM of top eigenvectors where every effect
+  they read is certified, else one real GEMM of the flattened stacks
+  (``linalg.frobenius``).
 
 ``classify_pair`` builds the trace table and both product passes once and
 reads every verdict from them, value complementarity included.
@@ -61,7 +60,7 @@ import numpy as np
 from . import linalg
 from .effects import require_same_dim
 from .errors import InternalInconsistency, NotAtomic
-from .observables import LineTable, Observable, PartitionMap, Products, line_table, products
+from .observables import LineTable, Observable, PartitionMap, Products, certified_forms, line_table, products
 
 
 @dataclass(frozen=True)
@@ -107,11 +106,12 @@ class PartitionCriterion:
 
 
 def _trace_table(a: Observable, b: Observable) -> np.ndarray:
-    """tr(A_x B_y), real part, as one (m, 2d^2) x (2d^2, n) real product.
-
-    Re tr(A B) = sum_ij Re(A_ij conj(B*_ij)), so each effect is flattened
-    to its interleaved real and imaginary parts, B's conjugate-transposed.
-    """
+    """tr(A_x B_y), real part, as an (m, n) array: w_x w'_y |<u_y, v_x>|^2, one Gram GEMM,
+    when every effect of both is certified as w v v* (``linalg.hermitian_eigs``); else one
+    (m, 2d^2) x (2d^2, n) real product, Re tr(A B) = sum_ij Re(A_ij conj(B*_ij)) over the
+    interleaved real and imaginary parts of the effects, B's conjugate-transposed."""
+    if a._certified.all() and b._certified.all():
+        return (certified_forms(b, a._spectral.eigenvectors[:, :, -1].T) * a.spectra()[:, -1]).T
     return linalg.frobenius(a.stack(), np.conjugate(b.stack().transpose(0, 2, 1), order="C"))
 
 

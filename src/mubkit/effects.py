@@ -25,7 +25,7 @@ class Effect:
 
     def __init__(self, matrix, tol: float | None = None):
         m = linalg.as_matrix(matrix)
-        (checked,), _ = effects_of(m[None], tol)
+        (checked,), _, _ = effects_of(m[None], tol)
         self._set(m, checked.spectral, checked._zero)
 
     def _set(self, m: np.ndarray, spectral: linalg.SpectralDecomposition, zero: float) -> "Effect":
@@ -111,17 +111,17 @@ class Effect:
 
 
 def effects_of(stack: np.ndarray, tol: float | None = None
-               ) -> tuple[list[Effect], linalg.SpectralDecomposition]:
+               ) -> tuple[list[Effect], linalg.SpectralDecomposition, np.ndarray]:
     """Validate every matrix of a frozen (m, d, d) stack as an effect: one
     ``linalg.hermitian_eigs`` pass, then one vector test that every spectrum
     lies in [0, 1] within the eigenvalue tolerance (NaN fails it).
 
     Returns the effects (read-only views of the stack and of its stacked
-    decomposition, with the zero band max(eig_tol, ``EIGENVALUE_TOL``)) and
-    that decomposition. Raises the error of some invalid matrix, not
-    necessarily the first.
+    decomposition, with the zero band max(eig_tol, ``EIGENVALUE_TOL``)),
+    that decomposition and its (m,) mask of certified rank-one matrices.
+    Raises the error of some invalid matrix, not necessarily the first.
     """
-    spectral = linalg.hermitian_eigs(stack, tol)
+    spectral, certified = linalg.hermitian_eigs(stack, tol)
     _, eig_tol = linalg.tols(stack.shape[-1], tol)
     zero = max(eig_tol, linalg.EIGENVALUE_TOL)
     low, high = spectral.eigenvalues[:, 0], spectral.eigenvalues[:, -1]
@@ -130,7 +130,7 @@ def effects_of(stack: np.ndarray, tol: float | None = None
         value = low[bad[0]] if not low[bad[0]] >= -eig_tol else high[bad[0]]
         raise SpectrumOutOfRange(f"eigenvalue {value!r} outside [0, 1] by more than {eig_tol:.3e}")
     return [Effect.__new__(Effect)._set(m, linalg.SpectralDecomposition(w, v), zero)
-            for m, w, v in zip(stack, *spectral)], spectral
+            for m, w, v in zip(stack, *spectral)], spectral, certified
 
 
 def require_same_dim(a, b) -> None:

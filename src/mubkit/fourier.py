@@ -10,14 +10,19 @@ from .errors import InvalidDim
 from .observables import Observable, PartitionMap, coarse_grain
 
 
+def _check_dim(dim) -> None:
+    """Raise InvalidDim unless ``dim`` is a positive integer (not a bool)."""
+    if not isinstance(dim, (int, np.integer)) or isinstance(dim, bool) or dim < 1:
+        raise InvalidDim(f"dimension must be a positive integer, got {dim!r}")
+
+
 def fourier_matrix(dim: int) -> np.ndarray:
     """The dim x dim matrix with entries exp(-2*pi*i*m*n/dim)/sqrt(dim).
 
     The exponent is reduced mod dim before evaluating, so entries that
     should be exact roots of unity agree bit-for-bit across the matrix.
     """
-    if not isinstance(dim, (int, np.integer)) or dim < 1:
-        raise InvalidDim(f"dimension must be a positive integer, got {dim!r}")
+    _check_dim(dim)
     m, n = np.meshgrid(np.arange(dim), np.arange(dim), indexing="ij")
     phase = np.exp(-2j * np.pi * ((m * n) % dim) / dim)
     return linalg.freeze(phase / np.sqrt(dim))
@@ -25,8 +30,7 @@ def fourier_matrix(dim: int) -> np.ndarray:
 
 def position_observable(dim: int) -> Observable:
     """Atomic observable of the standard basis: Q_j = |e_j><e_j|."""
-    if not isinstance(dim, (int, np.integer)) or dim < 1:
-        raise InvalidDim(f"dimension must be a positive integer, got {dim!r}")
+    _check_dim(dim)
     return Observable([str(j) for j in range(dim)], linalg.projections(np.eye(dim, dtype=complex)))
 
 

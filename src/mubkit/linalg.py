@@ -5,11 +5,11 @@ validated. Routines here assume nothing about physical meaning; the effect
 and observable layers build on top.
 
 Two routines diagonalize. ``hermitian_eig`` runs ``eigh`` on one matrix.
-``hermitian_eigs`` decomposes a whole (m, d, d) stack into one stacked
-decomposition, eigenvalues (m, d) and eigenvectors (m, d, d): matrices it
-can certify as rank one within ``CERTIFICATE_TOL`` get their decomposition
-in O(d^2) without ``eigh``, the rest go through ``eigh`` with the bits
-``hermitian_eig`` gives.
+``hermitian_eigs`` decomposes a whole (m, d, d) stack into one stacked decomposition,
+eigenvalues (m, d) and eigenvectors (m, d, d): matrices it can certify as rank one
+within ``CERTIFICATE_TOL`` get theirs in O(d^2) without ``eigh`` and are marked in
+a mask (only they may be read as their top eigenpair w v v* in closed forms); the
+rest go through ``eigh`` with the bits ``hermitian_eig`` gives.
 """
 from __future__ import annotations
 
@@ -180,7 +180,8 @@ def hermitian_eig(m: np.ndarray, tol: float | None = None) -> SpectralDecomposit
     return SpectralDecomposition(freeze(w), freeze(v))
 
 
-def hermitian_eigs(stack: np.ndarray, tol: float | None = None) -> SpectralDecomposition:
+def hermitian_eigs(stack: np.ndarray, tol: float | None = None
+                   ) -> tuple[SpectralDecomposition, np.ndarray]:
     """Spectral decomposition of every matrix in an (m, d, d) stack.
 
     Each matrix must be Hermitian within the matrix tolerance of ``tol``
@@ -202,21 +203,25 @@ def hermitian_eigs(stack: np.ndarray, tol: float | None = None) -> SpectralDecom
 
     Returns one read-only ``SpectralDecomposition`` of the whole stack:
     eigenvalues (m, d), each row ascending, and eigenvectors (m, d, d),
-    whose k-th matrix belongs to the k-th row. Raises ``NotHermitian`` for
-    the first matrix whose asymmetry exceeds the tolerance.
+    whose k-th matrix belongs to the k-th row; and a read-only (m,) bool
+    mask, true exactly for the certified matrices. Raises ``NotHermitian``
+    for the first matrix whose asymmetry exceeds the tolerance.
     """
     mat_tol, eig_tol = tols(stack.shape[-1], tol)
     w = np.zeros(stack.shape[:-1])
     v = np.empty_like(stack)
+    certified = np.zeros(len(stack), dtype=bool)
     step = max(1, _CHUNK_ENTRIES // stack.shape[-1] ** 2)
     for i in range(0, len(stack), step):
-        _chunk_eigs(_hermitian(stack[i:i + step], mat_tol), eig_tol, w[i:i + step], v[i:i + step])
-    return SpectralDecomposition(freeze(w), freeze(v))
+        _chunk_eigs(_hermitian(stack[i:i + step], mat_tol), eig_tol,
+                    w[i:i + step], v[i:i + step], certified[i:i + step])
+    return SpectralDecomposition(freeze(w), freeze(v)), freeze(certified)
 
 
-def _chunk_eigs(h: np.ndarray, eig_tol: float, w: np.ndarray, v: np.ndarray) -> None:
+def _chunk_eigs(h: np.ndarray, eig_tol: float, w: np.ndarray, v: np.ndarray,
+                certified: np.ndarray) -> None:
     """``hermitian_eigs`` of a stack already symmetrized to H, written into
-    ``w`` (zeros on entry) and ``v``."""
+    ``w`` (zeros on entry), ``v`` and ``certified`` (false on entry)."""
     diag = np.diagonal(h, axis1=-2, axis2=-1).real
     cand = np.flatnonzero(max_abs_each(h) <= 1.0 + eig_tol)
     traces = diag[cand].sum(axis=-1)
@@ -232,8 +237,8 @@ def _chunk_eigs(h: np.ndarray, eig_tol: float, w: np.ndarray, v: np.ndarray) -> 
     norm2 = np.einsum("ki,ki->k", col.conj(), col).real
     w[done, -1] = norm2
     v[done] = _unitary_ending_in(col / np.sqrt(norm2)[:, None])
-    rest = np.ones(len(h), dtype=bool)
-    rest[done] = False
+    certified[done] = True
+    rest = ~certified
     if rest.any():
         w[rest], v[rest] = np.linalg.eigh(h[rest])
 

@@ -9,10 +9,10 @@ with a 10x looser tolerance, since each entry accumulates roundoff from up
 to m*n sequential products. Predicates compare the unvalidated products of
 ``products`` instead: products and sums of valid effects need no second check.
 
-Every observable is one validated (m, d, d) stack and the stacked
-decomposition its validation produced (``effects.effects_of``): each
-effect is a view of both. An ``Effect`` given to ``Observable`` counts as
-its matrix and is validated again, under the observable's tolerance.
+Every observable is one validated (m, d, d) stack, and the stacked decomposition and
+certified mask its validation produced (``effects.effects_of``): each effect is a view
+of the stack and decomposition. An ``Effect`` given to ``Observable`` counts as its
+matrix and is validated again, under the observable's tolerance.
 """
 from __future__ import annotations
 
@@ -28,6 +28,7 @@ from .effects import (
     atomic_spectra,
     effects_of,
     occurrence_probability,
+    require_same_dim,
     seq_matrix,
     sharp_spectra,
 )
@@ -48,7 +49,7 @@ PRODUCT_SEP = "⊗"  # the symbol joining outcome labels of a product observable
 class Observable:
     """Effects A_x indexed by string outcome labels, with sum(A_x) = I."""
 
-    __slots__ = ("outcomes", "effects", "dim", "_stack", "_spectral")
+    __slots__ = ("outcomes", "effects", "dim", "_stack", "_spectral", "_certified")
 
     def __init__(self, outcomes: Sequence[str], effects, tol: float | None = None):
         labels = tuple(str(x) for x in outcomes)
@@ -59,7 +60,7 @@ class Observable:
             raise LabelMismatch(f"{len(labels)} labels for {len(effects)} effects")
         if not labels:
             raise LabelMismatch("observable needs at least one outcome")
-        self._stack, validated, self._spectral = _validated(labels, effects, tol)
+        self._stack, validated, self._spectral, self._certified = _validated(labels, effects, tol)
         dim = self._stack.shape[-1]
         mat_tol, _ = linalg.tols(dim, tol)
         defect = linalg.max_abs(self._stack.sum(axis=0) - np.eye(dim))
@@ -106,9 +107,9 @@ class Observable:
 
 
 def _validated(labels: tuple[str, ...], effects, tol: float | None
-               ) -> tuple[np.ndarray, list[Effect], linalg.SpectralDecomposition]:
-    """The matrices as one validated stack, their effects and the stack's
-    decomposition (``effects_of``). An ``Effect`` counts as its matrix.
+               ) -> tuple[np.ndarray, list[Effect], linalg.SpectralDecomposition, np.ndarray]:
+    """The matrices as one validated stack, their effects, the stack's decomposition
+    and certified mask (``effects_of``). An ``Effect`` counts as its matrix.
 
     When the stacked pass raises, the matrices go one by one, in order, so
     that an error names the first invalid outcome; if every one is valid,
@@ -185,25 +186,36 @@ class LineTable(NamedTuple):
 
 
 def line_table(a: Observable, b: Observable) -> tuple[LineTable, np.ndarray]:
-    """The line table of the ordered pair (A, B), and the (K, d, d)
-    projection stack P of its lines.
+    """The line table of the ordered pair (A, B), of one dimension, and the
+    (K, d, d) projection stack P of its lines.
 
     A_x is rank one when exactly one eigenvalue is at least the zero band
     that A's effects share (the rule of ``Effect.factor``), counted for all
     x at once over ``spectra``; v is that eigenvalue's eigenvector, the last
-    column, read from the eigenvector stack. The forms are one real GEMM of
-    B's stack against P's float view (``linalg.frobenius``).
+    column, read from the eigenvector stack. The forms are one Gram GEMM
+    (``certified_forms``) when all of B and A's lines are certified, else
+    one real GEMM of B's stack against P's float view (``linalg.frobenius``).
     """
+    require_same_dim(a, b)
     index = ((a.spectra() >= a.effects[0]._zero).sum(axis=-1) == 1).nonzero()[0]
     vectors = a._spectral.eigenvectors[index, :, -1].T
     projections = linalg.projections(vectors)
-    return LineTable(index, vectors, linalg.frobenius(b.stack(), projections)), projections
+    certified = b._certified.all() and a._certified[index].all()
+    forms = certified_forms(b, vectors) if certified else linalg.frobenius(b.stack(), projections)
+    return LineTable(index, vectors, forms), projections
+
+
+def certified_forms(b: Observable, vectors: np.ndarray) -> np.ndarray:
+    """Re <B_y, v v*> = w'_y |<u_y, v>|^2 (n, K) for the effects of ``b``, all certified
+    as their top eigenpairs w'_y u_y u_y*, and unit columns v of ``vectors`` (d, K)."""
+    gram = b._spectral.eigenvectors[:, :, -1].conj() @ vectors
+    return b.spectra()[:, -1, None] * (gram.real ** 2 + gram.imag ** 2)
 
 
 class Products(NamedTuple):
-    """Every sequential product A_x o B_y of a pair, reduced as it is made. A lifted A_x
-    fills its row of ``deviations``; a rank-one A_x only the y of its lowest and highest
-    coefficient, the rest 0: the deviation is convex in it, so each row's max is exact."""
+    """Every sequential product A_x o B_y of a pair, reduced as it is made. A lifted or certified
+    rank-one A_x fills its row of ``deviations``; an uncertified rank-one A_x only the y of its lowest
+    and highest coefficient, the rest 0: the deviation is convex in it, so each row's max is exact."""
 
     deviations: np.ndarray   # (m, n): max_abs(A_x o B_y - A_x / n), as above
     conditioned: np.ndarray  # (n, d, d): (B|A)_y = sum_x A_x o B_y, Hermitian, not validated
@@ -218,9 +230,10 @@ def products(a: Observable, b: Observable) -> Products:
     effect A_x = w_x v v* (``line_table``), A_x o B_y = c_xy P_x with
     P_x = v v* and c_xy = w_x Re <B_y, P_x>, one real number per product
     from the table's forms. Their part of (B|A) is c @ P, one real
-    (n, K) x (K, 2d^2) GEMM over P's float view. The deviation from A_x / n
-    is convex in c_xy, so its max over y sits at the smallest or the
-    largest c_xy, evaluated on the same P. Every other effect lifts
+    (n, K) x (K, 2d^2) GEMM over P's float view. A certified A_x, w_x P_x within
+    ``CERTIFICATE_TOL``, deviates from A_x / n by |c_xy - w_x / n| max_i |v_i|^2;
+    for an uncertified one the deviation is convex in c_xy, so its max over y
+    sits at the lowest or the highest c_xy, evaluated on P. Every other effect lifts
     R B_y R, R = sqrt(A_x), for all y in two GEMMs over B's Hermitian stack
     viewed as (n d, d) rows: rows @ R gives every B_y R, whose conjugate
     transpose is R B_y (``Effect.sqrt`` and ``linalg.hermitian_part`` are
@@ -236,10 +249,14 @@ def products(a: Observable, b: Observable) -> Products:
     ones = lines.index
     coeffs = lines.forms * a.spectra()[ones, -1]
     total = (coeffs @ linalg.real_rows(projections)).view(complex).reshape(len(b), a.dim, a.dim)
-    if len(ones):
-        targets, cols = scale * a.stack()[ones], np.arange(len(ones))
-        for ys in (coeffs.argmin(axis=0), coeffs.argmax(axis=0)):
-            devs[ones, ys] = linalg.max_abs_each(coeffs[ys, cols, None, None] * projections - targets)
+    if len(ones):  # w_x |f_xy - 1/n| max|v|^2, set to 0 on uncertified lines but at lo/hi
+        peaks = np.max(np.abs(lines.vectors), axis=0) ** 2 * a._certified[ones]
+        devs[ones] = (np.abs(lines.forms - scale) * a.spectra()[ones, -1] * peaks).T
+        cols = np.flatnonzero(~a._certified[ones])
+        if len(cols):
+            xs, subset, targets = ones[cols], projections[cols], scale * a.stack()[ones[cols]]
+            for ys in (coeffs[:, cols].argmin(axis=0), coeffs[:, cols].argmax(axis=0)):
+                devs[xs, ys] = linalg.max_abs_each(coeffs[ys, cols, None, None] * subset - targets)
     lifted = np.bincount(ones, minlength=len(a)) == 0
     if lifted.any():
         rows = linalg.hermitian_part(b.stack()).reshape(len(b) * a.dim, a.dim)
@@ -337,7 +354,7 @@ def conjugate(a: Observable, u: np.ndarray, tol: float | None = None) -> Observa
     """Apply the unitary change of basis E -> U E U* to every effect."""
     if np.shape(u) != (a.dim, a.dim):
         raise DimMismatch(f"unitary has shape {np.shape(u)}, the effects are {(a.dim, a.dim)}")
-    return Observable(a.outcomes, u @ a.stack() @ u.conj().T, tol)
+    return Observable(a.outcomes, u @ a.stack() @ np.conjugate(u).T, tol)
 
 
 def iter_set_partitions(items: Sequence) -> Iterator[list[list]]:

@@ -29,6 +29,7 @@ from mubkit.observables import (
     products,
 )
 from mubkit.oracle import random_observable, random_unitary
+from test_differential import build_pair
 
 
 def equal_trace_diagonal():
@@ -370,18 +371,34 @@ class TestClassifyPair:
         assert not any(getattr(rep, k).holds for k in names)
         assert rep.alpha is None and rep.flags == ()
 
-    def test_atomic_pair_builds_each_line_table_once(self, monkeypatch):
-        # one projection stack per product pass, read again by value
-        # complementarity; frobenius: the trace table and the two passes' forms
-        a, b = helpers.mu_atomic_pair(8, 8)
+    @staticmethod
+    def count_calls(monkeypatch, a, b):
+        """classify_pair(a, b) and its ``linalg.projections`` and ``linalg.frobenius`` calls."""
         calls = {"projections": 0, "frobenius": 0}
         for name in calls:
             def counted(*args, _name=name, _fn=getattr(linalg, name)):
                 calls[_name] += 1
                 return _fn(*args)
             monkeypatch.setattr(linalg, name, counted)
-        rep = classify_pair(a, b)
+        return classify_pair(a, b), calls
+
+    def test_atomic_pair_builds_each_line_table_once(self, monkeypatch):
+        # one projection stack per product pass, read again by value
+        # complementarity; every effect is certified, so the trace table
+        # and both passes' forms are Gram GEMMs, not frobenius
+        a, b = helpers.mu_atomic_pair(8, 8)
+        assert a._certified.all() and b._certified.all()
+        rep, calls = self.count_calls(monkeypatch, a, b)
         assert rep.value_complementary.holds and not rep.value_complementary.vacuous
+        assert calls == {"projections": 2, "frobenius": 0}
+
+    def test_an_uncertified_effect_keeps_the_frobenius_forms(self, monkeypatch):
+        # the snap-band effect is rank one only by the zero band: the trace
+        # table and both passes' forms are frobenius products of the stacks
+        a, b = build_pair("snap-band-vs-momentum", 8, 8)
+        assert not a._certified.all() and b._certified.all()
+        rep, calls = self.count_calls(monkeypatch, a, b)
+        assert rep.mu.holds and rep.condition1.holds
         assert calls == {"projections": 2, "frobenius": 3}
 
 

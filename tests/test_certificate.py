@@ -47,10 +47,12 @@ def eigh_matrices():
 
 
 def eigh_only(stack, tol=None):
-    """``hermitian_eigs`` without the certificate: ``hermitian_eig`` per matrix."""
+    """``hermitian_eigs`` without the certificate: ``hermitian_eig`` per
+    matrix, and no matrix marked certified, so no closed form applies."""
     mat_tol, _ = linalg.tols(stack.shape[-1], tol)
     w, v = zip(*(linalg.hermitian_eig(m, mat_tol) for m in stack))
-    return linalg.SpectralDecomposition(linalg.freeze(np.stack(w)), linalg.freeze(np.stack(v)))
+    spectral = linalg.SpectralDecomposition(linalg.freeze(np.stack(w)), linalg.freeze(np.stack(v)))
+    return spectral, linalg.freeze(np.zeros(len(stack), dtype=bool))
 
 
 def _projection(u):
@@ -95,9 +97,12 @@ def test_certificate_matches_eigh(kind, dim, seed, tol, weight, sign):
         weight = min(weight, 0.5)
     m = linalg.as_matrix(_input(kind, dim, np.random.default_rng(seed), tol, weight, sign))
     with eigh_matrices() as seen:
-        got = linalg.SpectralDecomposition(*(x[0] for x in linalg.hermitian_eigs(m[None], tol)))
+        spectral, certified = linalg.hermitian_eigs(m[None], tol)
+    got = linalg.SpectralDecomposition(*(x[0] for x in spectral))
     ref = linalg.hermitian_eig(m, linalg.tols(dim, tol)[0])
     assert (sum(seen) == 0) == CERTIFIED[kind]
+    assert certified.dtype == bool and certified.tolist() == [CERTIFIED[kind]]
+    assert not certified.flags.writeable
     if not CERTIFIED[kind]:
         assert np.array_equal(got.eigenvalues, ref.eigenvalues)
         assert np.array_equal(got.eigenvectors, ref.eigenvectors)
@@ -128,17 +133,22 @@ def test_certified_observables_classify_as_under_eigh(kind, dim, seed):
                 assert e.is_invertible(tol) == r.is_invertible(tol)
                 assert len(e.factor()[1]) == len(r.factor()[1])
                 assert e.unit_eigenspace(tol).shape == r.unit_eigenspace(tol).shape
-        got = analysis.classify_pair(*certified, tol)
-        want = analysis.classify_pair(*reference, tol)
-        for name in VERDICTS:
-            g, w = getattr(got, name), getattr(want, name)
-            assert (g is None) == (w is None)
-            if g is not None:
-                assert (g.holds, g.vacuous) == (w.holds, w.vacuous)
-                # certified eigenvectors differ from eigh's by rounding, which
-                # moved deviations near 0.45 by up to 1.7e-15 over 1500 draws
-                assert abs(g.max_deviation - w.max_deviation) <= 1e-14
-        assert (got.alpha, got.flags) == (want.alpha, want.flags)
+        # both orders: the certified build takes the closed forms (Gram
+        # trace table and forms, closed condition (1) rows) where its masks
+        # allow, the eigh build the general path throughout
+        for order in (slice(None), slice(None, None, -1)):
+            got = analysis.classify_pair(*certified[order], tol)
+            want = analysis.classify_pair(*reference[order], tol)
+            for name in VERDICTS:
+                g, w = getattr(got, name), getattr(want, name)
+                assert (g is None) == (w is None)
+                if g is not None:
+                    assert (g.holds, g.vacuous) == (w.holds, w.vacuous)
+                    # the proven bound is 2 CERTIFICATE_TOL; certified eigenvectors
+                    # differ from eigh's by rounding, which moved deviations near
+                    # 0.45 by up to 1.7e-15 over 1500 draws
+                    assert abs(g.max_deviation - w.max_deviation) <= 1e-14
+            assert (got.alpha, got.flags) == (want.alpha, want.flags)
 
 
 class TestEighCalls:
@@ -181,8 +191,9 @@ def test_effects_are_views_of_the_validated_stack():
 
 def test_certified_eigenvector_is_the_normalized_column():
     v = random_unitary(4, 8)[:, 2] * 0.6
-    got = linalg.SpectralDecomposition(
-        *(x[0] for x in linalg.hermitian_eigs(linalg.as_matrix(np.outer(v, v.conj()))[None])))
+    spectral, certified = linalg.hermitian_eigs(linalg.as_matrix(np.outer(v, v.conj()))[None])
+    got = linalg.SpectralDecomposition(*(x[0] for x in spectral))
+    assert certified.tolist() == [True]
     u = got.eigenvectors[:, -1]
     assert got.eigenvalues[-1] == pytest.approx(0.36, abs=1e-15)
     # the certified column is v / |v| up to the phase of v's largest entry

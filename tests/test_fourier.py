@@ -72,7 +72,7 @@ def test_dim4_fixture():
     assert linalg.max_abs(fourier_matrix(4) - F4) < 1e-12
 
 
-@pytest.mark.parametrize("bad", [0, -3, 2.5, "4"])
+@pytest.mark.parametrize("bad", [0, -3, 2.5, "4", True, False, np.True_, np.False_])
 def test_invalid_dim(bad):
     with pytest.raises(InvalidDim):
         fourier_matrix(bad)

@@ -183,7 +183,9 @@ class TestSeqProductObservable:
 
         def eigs(stack, tol=None):
             calls.append("hermitian_eigs")
-            return real_eigs(stack, tol)
+            spectral, certified = real_eigs(stack, tol)
+            assert certified.shape == (len(stack),) and certified.dtype == bool
+            return spectral, certified
 
         def init(self, matrix, tol=None):
             calls.append("Effect")
@@ -227,6 +229,14 @@ class TestConditioned:
         cond = conditioned(p_half, q_half)
         assert cond.outcomes == p_half.outcomes
         assert mat_approx_eq(cond.effects[0].matrix, COND_HALF_0, tol=1e-12)
+
+    @pytest.mark.parametrize("build", [conditioned, lambda b, a: products(a, b)])
+    def test_dim_mismatch(self, build):
+        for b, a in ((position_observable(4), position_observable(3)),
+                     (position_observable(3), momentum_observable(4)),
+                     (two_outcome(2), random_observable(3, 2, "unsharp", 1))):
+            with pytest.raises(DimMismatch, match="dims"):
+                build(b, a)
 
     def test_conditioning_can_break_sharpness(self):
         q_half, _, p_half = example_partitions()
@@ -383,6 +393,12 @@ class TestConjugate:
             want = np.array([u @ e.matrix @ u.conj().T for e in obs.effects])
             assert conjugate(obs, u).stack().tobytes() == want.tobytes()
 
+    def test_a_nested_list_is_a_unitary(self):
+        u = random_unitary(4, 3)
+        want = conjugate(position_observable(4), u)
+        got = conjugate(position_observable(4), u.tolist())
+        assert got.stack().tobytes() == want.stack().tobytes()
+
     @pytest.mark.parametrize("shape", [(3, 3), (4, 3), (3, 4), (4,), (), (1, 4, 4)])
     def test_a_unitary_of_another_shape_is_a_dim_mismatch(self, shape):
         with pytest.raises(DimMismatch, match=rf"{re.escape(str(shape))}.*\(4, 4\)"):
@@ -437,26 +453,37 @@ class TestProducts:
     """``products`` against one ``seq_matrix`` per (x, y), at the sizes the
     differential suite does not draw: n = 1 and row stacks past d = 7."""
 
-    @pytest.mark.parametrize("kind", ["unsharp", "mixed-rank"])
+    @pytest.mark.parametrize("kind", ["unsharp", "mixed-rank", "snap-band"])
     @pytest.mark.parametrize("dim", [1, 5, 8, 9, 16, 17, 32])
     @pytest.mark.parametrize("n", [1, 2, 5])
     def test_match_the_per_product_loop(self, kind, dim, n):
+        if kind == "snap-band" and dim == 1:
+            pytest.skip("a snap-band basis needs two basis vectors")
         rng = np.random.default_rng(100 * dim + n)
-        a = random_observable(dim, n, "unsharp", rng) if kind == "unsharp" else mixed_rank(dim, n, rng)
+        a = {"unsharp": lambda: random_observable(dim, n, "unsharp", rng),
+             "mixed-rank": lambda: mixed_rank(dim, n, rng),
+             "snap-band": lambda: snap_band_basis(random_unitary(dim, rng))}[kind]()
         b = random_observable(dim, n, "unsharp", rng)
         got = products(a, b)
         lifts = np.array([[seq_matrix(ax, by) for by in b.effects] for ax in a.effects])
         devs = np.abs(lifts - a.stack()[:, None] / n).max(axis=(-2, -1))
         assert np.abs(got.conditioned - lifts.sum(axis=0)).max() <= 1e-15
         assert np.abs(got.deviations.max(axis=1) - devs.max(axis=1)).max() <= 1e-15
-        # a lifted row holds every y; a rank-one row its lowest- and highest-coefficient y, else 0
+        # a lifted or certified rank-one row holds every y; an uncertified
+        # rank-one row its lowest- and highest-coefficient y, else 0
         evaluated = np.ones(devs.shape, dtype=bool)
         coeffs = got.lines.forms * a.spectra()[got.lines.index, -1]
-        evaluated[got.lines.index] = False
+        open_lines = got.lines.index[~a._certified[got.lines.index]]
+        evaluated[open_lines] = False
         for k, x in enumerate(got.lines.index):
-            evaluated[x, [coeffs[:, k].argmin(), coeffs[:, k].argmax()]] = True
+            if x in open_lines:
+                evaluated[x, [coeffs[:, k].argmin(), coeffs[:, k].argmax()]] = True
         assert np.abs(got.deviations - devs)[evaluated].max() <= 1e-15
         assert not got.deviations[~evaluated].any()
+        if kind == "snap-band":  # effect 0 is rank one by the zero band only, the rest certified
+            assert open_lines.tolist() == [0] and a._certified[1:].all()
+        elif kind == "mixed-rank":
+            assert len(open_lines) == 0 and a._certified[:-1].all()
 
     @pytest.mark.parametrize("build", sorted(LIFT_FACTOR_CASES))
     def test_lift_factors_are_exactly_hermitian(self, build):
