@@ -12,8 +12,9 @@ outcomes:
 * generalized mutual unbiasedness: tr(A_x B_y) = d/(m n).
 
 Each checker returns a Verdict carrying the worst deviation it saw and,
-on failure, a witness locating it. ``classify_pair`` runs whatever applies
-and cross-checks the verdicts against the implications that provably hold.
+on failure, a witness locating it (``_verdict``). ``classify_pair`` runs
+whatever applies and cross-checks the verdicts against the implications
+that provably hold.
 
 The observables are validated once, when they are built. The checkers
 then compare unvalidated products against their targets and construct no
@@ -26,15 +27,9 @@ A product pass holds stacks of at most m or n matrices, so extra memory
 stays O((m + n) d^2); the (m, n, d, d) array of all products is never built.
 
 * Conditions (1) and (2) read one product pass per ordered pair,
-  ``observables.products``: it makes each A_x o B_y once and reduces it
-  into condition (1)'s (m, n) deviation table and the sum (B|A)_y. A rank-one
-  effect A_x = w_x v v* gives A_x o B_y = c_xy P_x with P_x = v v*, one number
-  per product, from the forms Re <B_y, P_x> of the line table
-  (``observables.line_table``); their part of (B|A) is one real GEMM over
-  the projection stack, so an atomic pair costs O(d^4), not O(d^5). Its row
-  of the table is |c_xy - w_x/n| max|v|^2 in full when ``hermitian_eigs``
-  certified A_x, else only the lowest and highest c_xy, evaluated. Every
-  other effect is lifted to sqrt(A_x) B_y sqrt(A_x), all y in two GEMMs.
+  ``observables.products``: it makes each A_x o B_y once, as one number per
+  product for a rank-one A_x (``observables.line_table``), so an atomic pair
+  costs O(d^4), not O(d^5), and as sqrt(A_x) B_y sqrt(A_x) for the others.
 * Value complementarity on a certainty subspace that is a rank-one
   effect's own line is |Re <B_y, P_x> - 1/n| max|v|^2, a column of that
   line table; other certainty subspaces are compressed to k x k.
@@ -61,6 +56,9 @@ from . import linalg
 from .effects import require_same_dim
 from .errors import InternalInconsistency, NotAtomic
 from .observables import LineTable, Observable, PartitionMap, Products, certified_forms, line_table, products
+
+#: Deviations within this many units in the last place of a verdict's maximum tie for its witness.
+TIE_ULPS = 64
 
 
 @dataclass(frozen=True)
@@ -107,26 +105,28 @@ class PartitionCriterion:
 
 def _trace_table(a: Observable, b: Observable) -> np.ndarray:
     """tr(A_x B_y), real part, as an (m, n) array: w_x w'_y |<u_y, v_x>|^2, one Gram GEMM,
-    when every effect of both is certified as w v v* (``linalg.hermitian_eigs``); else one
-    (m, 2d^2) x (2d^2, n) real product, Re tr(A B) = sum_ij Re(A_ij conj(B*_ij)) over the
-    interleaved real and imaginary parts of the effects, B's conjugate-transposed."""
+    when every effect of both is certified as w v v* (``linalg.hermitian_eigs``); else
+    Re <A_x, B_y> (``linalg.frobenius``), which is Re tr(A_x B_y) for Hermitian stacks."""
     if a._certified.all() and b._certified.all():
         return (certified_forms(b, a._spectral.eigenvectors[:, :, -1].T) * a.spectra()[:, -1]).T
-    return linalg.frobenius(a.stack(), np.conjugate(b.stack().transpose(0, 2, 1), order="C"))
+    return linalg.frobenius(a.stack(), b.stack())
 
 
 def _verdict(devs: np.ndarray, mat_tol: float, witness) -> Verdict:
-    """The verdict of a nonempty deviation array: the worst case is its first maximum in
-    C order (``np.argmax``), named by ``witness(index, worst)`` only when above ``mat_tol``."""
-    k = int(np.argmax(devs))
-    worst = float(devs.flat[k])
-    return Verdict(worst <= mat_tol, worst, None if worst <= mat_tol else witness(k, worst))
+    """The verdict of a nonempty deviation array, whose maximum is ``max_deviation``. Above
+    ``mat_tol`` it names ``witness(index, deviation)``: the first location in C order within
+    TIE_ULPS units in the last place of the maximum, so rounding does not pick the label."""
+    worst = float(devs.max())
+    if worst <= mat_tol:
+        return Verdict(True, worst)
+    k = int(np.argmax(devs >= worst - TIE_ULPS * np.spacing(worst)))
+    return Verdict(False, worst, witness(k, float(devs.flat[k])))
 
 
 def _trace_verdict(a: Observable, b: Observable, table: np.ndarray, target: float,
                    mat_tol: float) -> Verdict:
     """Whether every tr(A_x B_y) in ``table`` equals ``target``; the witness is the worst pair."""
-    def witness(k, worst):
+    def witness(k, dev):
         i, j = divmod(k, len(b))
         return {"x": a.outcomes[i], "y": b.outcomes[j], "observed": float(table[i, j]), "target": target}
     return _verdict(np.abs(table - target), mat_tol, witness)
@@ -149,14 +149,14 @@ def _product_verdicts(a: Observable, b: Observable, passes: tuple[Products, Prod
     (dev_ab, given_a, _), (dev_ba, given_b, _) = passes
     m, n = len(a), len(b)
 
-    def witness1(k, worst):
+    def witness1(k, dev):
         s, k = divmod(k, m * n)
         x, y = divmod(k, n) if s == 0 else divmod(k, m)[::-1]
-        return {"x": a.outcomes[x], "y": b.outcomes[y], "side": ("A∘B", "B∘A")[s], "deviation": worst}
+        return {"x": a.outcomes[x], "y": b.outcomes[y], "side": ("A∘B", "B∘A")[s], "deviation": dev}
 
-    def witness2(k, worst):
+    def witness2(k, dev):
         side, obs, k = ("B|A", b, k) if k < n else ("A|B", a, k - n)
-        return {"outcome": obs.outcomes[k], "side": side, "deviation": worst}
+        return {"outcome": obs.outcomes[k], "side": side, "deviation": dev}
 
     eye = np.eye(a.dim)
     devs2 = [linalg.max_abs_each(given_a - eye / n), linalg.max_abs_each(given_b - eye / m)]
@@ -210,7 +210,7 @@ def _complementarity_verdict(a: Observable, b: Observable, tol: float | None,
     if not (units[0].any() or units[1].any()):
         return Verdict(True, 0.0, None, vacuous=True)
 
-    def witness(k, worst):
+    def witness(k, dev):
         side, first, second = sides[k // (len(a) * len(b))]
         x, y = divmod(k % (len(a) * len(b)), len(second))
         target = 1.0 / len(second)

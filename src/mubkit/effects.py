@@ -24,9 +24,8 @@ class Effect:
     __slots__ = ("matrix", "_spectral", "_zero", "_factor", "_sqrt", "_complement")
 
     def __init__(self, matrix, tol: float | None = None):
-        m = linalg.as_matrix(matrix)
-        (checked,), _, _ = effects_of(m[None], tol)
-        self._set(m, checked.spectral, checked._zero)
+        (checked,), _, _ = effects_of(linalg.as_matrix(matrix)[None].copy(), tol)
+        self._set(checked.matrix, checked.spectral, checked._zero)
 
     def _set(self, m: np.ndarray, spectral: linalg.SpectralDecomposition, zero: float) -> "Effect":
         """Keep a matrix, its checked decomposition and zero band (``factor``); returns the effect."""
@@ -112,9 +111,9 @@ class Effect:
 
 def effects_of(stack: np.ndarray, tol: float | None = None
                ) -> tuple[list[Effect], linalg.SpectralDecomposition, np.ndarray]:
-    """Validate every matrix of a frozen (m, d, d) stack as an effect: one
-    ``linalg.hermitian_eigs`` pass, then one vector test that every spectrum
-    lies in [0, 1] within the eigenvalue tolerance (NaN fails it).
+    """Validate every matrix of a writable (m, d, d) stack as an effect: one ``linalg.hermitian_eigs``
+    pass, which leaves the stack symmetrized and frozen, then one vector test that every
+    spectrum lies in [0, 1] within the eigenvalue tolerance (NaN fails it).
 
     Returns the effects (read-only views of the stack and of its stacked
     decomposition, with the zero band max(eig_tol, ``EIGENVALUE_TOL``)),
@@ -182,19 +181,18 @@ def commutes(a: Effect, b: Effect, tol: float | None = None) -> bool:
 class State:
     """Density operator: positive semidefinite with unit trace."""
 
-    __slots__ = ("matrix", "_spectral")
+    __slots__ = ("matrix",)
 
     def __init__(self, matrix, tol: float | None = None):
         m = linalg.as_matrix(matrix)
         mat_tol, eig_tol = linalg.tols(m.shape[0], tol)
-        spectral = linalg.hermitian_eig(m, mat_tol)
-        if not spectral.eigenvalues[0] >= -eig_tol:  # NaN fails too
-            raise NotPositive(f"state eigenvalue {spectral.eigenvalues[0]:.3e} below -{eig_tol:.3e}")
+        low = linalg.hermitian_eig(m, mat_tol).eigenvalues[0]
+        if not low >= -eig_tol:  # NaN fails too
+            raise NotPositive(f"state eigenvalue {low:.3e} below -{eig_tol:.3e}")
         tr = linalg.trace(m)
         if abs(tr - 1.0) > mat_tol:
             raise NotNormalized(f"state trace {tr} is not 1 within {mat_tol:.3e}")
         self.matrix = m
-        self._spectral = spectral
 
     @property
     def dim(self) -> int:

@@ -1,8 +1,10 @@
 """Dense complex matrix helpers and spectral decompositions.
 
 All matrices are square ``complex128`` numpy arrays, write-protected once
-validated. Routines here assume nothing about physical meaning; the effect
-and observable layers build on top.
+validated. Validation writes H = (M + M*) / 2 over the stack it decomposes
+(``hermitian_eigs``), so a validated stack is Hermitian in every bit and is
+the matrix its decomposition describes. Routines here assume nothing about
+physical meaning; the effect and observable layers build on top.
 
 Two routines diagonalize. ``hermitian_eig`` runs ``eigh`` on one matrix.
 ``hermitian_eigs`` decomposes a whole (m, d, d) stack into one stacked decomposition,
@@ -75,11 +77,11 @@ def freeze(m: np.ndarray) -> np.ndarray:
 
 def as_matrix(entries) -> np.ndarray:
     """Coerce ``entries`` to a validated, frozen square complex matrix."""
-    return _finite_square(np.array(entries, dtype=complex), 2, "a nonempty square matrix")
+    return freeze(_finite_square(np.array(entries, dtype=complex), 2, "a nonempty square matrix"))
 
 
 def as_stack(entries) -> np.ndarray:
-    """Coerce ``entries`` to a validated, frozen (m, d, d) complex stack."""
+    """Coerce ``entries`` to a validated (m, d, d) complex stack: a writable copy, for ``hermitian_eigs``."""
     return _finite_square(np.array(entries, dtype=complex), 3, "a stack of nonempty square matrices")
 
 
@@ -88,7 +90,7 @@ def _finite_square(m: np.ndarray, ndim: int, expected: str) -> np.ndarray:
         raise DimMismatch(f"expected {expected}, got shape {m.shape}")
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise NonFinite("matrix entries must be finite")
-    return freeze(m)
+    return m
 
 
 def trace(m: np.ndarray) -> complex:
@@ -185,8 +187,8 @@ def hermitian_eigs(stack: np.ndarray, tol: float | None = None
     """Spectral decomposition of every matrix in an (m, d, d) stack.
 
     Each matrix must be Hermitian within the matrix tolerance of ``tol``
-    (``tols``) and is symmetrized to H = (M + M*) / 2 as in
-    ``hermitian_eig``. Then, over the whole stack at once:
+    (``tols``) and is symmetrized to H = (M + M*) / 2 as in ``hermitian_eig``, in place:
+    ``stack`` must be writable, as from ``as_stack``, and is left frozen. Then, at once:
 
     * **Gate.** H is a rank-one candidate when max |H_ij| <= 1 + eig_tol
       and 0 < tr H <= 1 + eig_tol, eig_tol being the eigenvalue tolerance
@@ -213,15 +215,16 @@ def hermitian_eigs(stack: np.ndarray, tol: float | None = None
     certified = np.zeros(len(stack), dtype=bool)
     step = max(1, _CHUNK_ENTRIES // stack.shape[-1] ** 2)
     for i in range(0, len(stack), step):
-        _chunk_eigs(_hermitian(stack[i:i + step], mat_tol), eig_tol,
-                    w[i:i + step], v[i:i + step], certified[i:i + step])
+        _chunk_eigs(stack[i:i + step], mat_tol, eig_tol, w[i:i + step], v[i:i + step], certified[i:i + step])
+    freeze(stack)
     return SpectralDecomposition(freeze(w), freeze(v)), freeze(certified)
 
 
-def _chunk_eigs(h: np.ndarray, eig_tol: float, w: np.ndarray, v: np.ndarray,
+def _chunk_eigs(h: np.ndarray, mat_tol: float, eig_tol: float, w: np.ndarray, v: np.ndarray,
                 certified: np.ndarray) -> None:
-    """``hermitian_eigs`` of a stack already symmetrized to H, written into
-    ``w`` (zeros on entry), ``v`` and ``certified`` (false on entry)."""
+    """``hermitian_eigs`` of one chunk of its stack, symmetrized in place to H
+    first, written into ``w`` (zeros on entry), ``v`` and ``certified`` (false on entry)."""
+    _hermitian(h, mat_tol, out=h)
     diag = np.diagonal(h, axis1=-2, axis2=-1).real
     cand = np.flatnonzero(max_abs_each(h) <= 1.0 + eig_tol)
     traces = diag[cand].sum(axis=-1)
@@ -243,9 +246,9 @@ def _chunk_eigs(h: np.ndarray, eig_tol: float, w: np.ndarray, v: np.ndarray,
         w[rest], v[rest] = np.linalg.eigh(h[rest])
 
 
-def _hermitian(m: np.ndarray, tol: float) -> np.ndarray:
+def _hermitian(m: np.ndarray, tol: float, out: np.ndarray | None = None) -> np.ndarray:
     """(M + M*) / 2 of a matrix or of every matrix in a stack, after
-    checking max |M - M*| <= tol for each.
+    checking max |M - M*| <= tol for each; into ``out`` when given.
 
     It halves first, so entries near the float limit cannot overflow into
     a NaN spectrum. Halving is exact above the subnormal range, so the
@@ -259,8 +262,7 @@ def _hermitian(m: np.ndarray, tol: float) -> np.ndarray:
     if len(bad):
         defect = 2.0 * float(half_defect.flat[bad[0]])  # a Python float: inf, not a warning
         raise NotHermitian(f"max asymmetry {defect:.3e} exceeds tol {tol:.3e}")
-    half += half_adj
-    return half
+    return np.add(half, half_adj, out=out)
 
 
 def _unitary_ending_in(u: np.ndarray) -> np.ndarray:

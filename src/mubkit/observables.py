@@ -16,7 +16,7 @@ matrix and is validated again, under the observable's tolerance.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -142,14 +142,15 @@ def observable_new(dim: int, outcomes: Sequence[str], matrices, tol: float | Non
 
 @dataclass(frozen=True)
 class Distribution:
-    """Outcome probabilities of one observable in one state."""
+    """Outcome probabilities of one observable in one state, summing to 1 within ``bound``."""
 
     outcomes: tuple[str, ...]
     probabilities: tuple[float, ...]
+    bound: InitVar[float | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, bound):
         s = sum(self.probabilities)
-        if abs(s - 1.0) > 10 * linalg.default_tol(max(len(self.probabilities), 1)):
+        if abs(s - 1.0) > (10 * linalg.default_tol(len(self.probabilities)) if bound is None else bound):
             raise NotNormalized(f"probabilities sum to {s!r}, not 1")
 
     def as_dict(self) -> dict[str, float]:
@@ -160,8 +161,10 @@ class Distribution:
 
 
 def distribution(rho: State, a: Observable, tol: float | None = None) -> Distribution:
+    """The probabilities tr(rho A_x), each clamped by at most the matrix tolerance t. They sum
+    to tr(rho (I + D)) with max |D_ij| <= t, and |tr(rho D)| <= d t: so to 1 within (d + m) t."""
     probs = tuple(occurrence_probability(rho, e, tol) for e in a.effects)
-    return Distribution(a.outcomes, probs)
+    return Distribution(a.outcomes, probs, (a.dim + len(a)) * linalg.tols(a.dim, tol)[0])
 
 
 def obs_seq_product(a: Observable, b: Observable, tol: float | None = None) -> Observable:
@@ -234,14 +237,11 @@ def products(a: Observable, b: Observable) -> Products:
     ``CERTIFICATE_TOL``, deviates from A_x / n by |c_xy - w_x / n| max_i |v_i|^2;
     for an uncertified one the deviation is convex in c_xy, so its max over y
     sits at the lowest or the highest c_xy, evaluated on P. Every other effect lifts
-    R B_y R, R = sqrt(A_x), for all y in two GEMMs over B's Hermitian stack
-    viewed as (n d, d) rows: rows @ R gives every B_y R, whose conjugate
-    transpose is R B_y (``Effect.sqrt`` and ``linalg.hermitian_part`` are
-    Hermitian in every bit), and a second GEMM gives (R B_y) R, into three
-    (n, d, d) buffers made once per pass. The bits equal those of n separate
-    d x d products only when d is a multiple of 4 (seen with OpenBLAS for
-    d = 2-71); otherwise entries move by about 1e-16. Both paths act through
-    B's Hermitian part, as the symmetrized ``effects.seq_matrix`` does.
+    R B_y R, R = sqrt(A_x), for all y in two GEMMs over B's stack viewed as (n d, d) rows:
+    rows @ R gives every B_y R, whose conjugate transpose is R B_y (R and B_y are Hermitian
+    in every bit), and a second GEMM gives (R B_y) R, into three (n, d, d) buffers made once
+    per pass. The bits equal those of n separate d x d products only when d is a multiple
+    of 4 (seen with OpenBLAS for d = 2-71); otherwise entries move by about 1e-16.
     """
     scale = 1.0 / len(b)
     devs = np.zeros((len(a), len(b)))
@@ -259,7 +259,7 @@ def products(a: Observable, b: Observable) -> Products:
                 devs[xs, ys] = linalg.max_abs_each(coeffs[ys, cols, None, None] * subset - targets)
     lifted = np.bincount(ones, minlength=len(a)) == 0
     if lifted.any():
-        rows = linalg.hermitian_part(b.stack()).reshape(len(b) * a.dim, a.dim)
+        rows = b.stack().reshape(len(b) * a.dim, a.dim)
         lifts, half = np.empty_like(total), np.empty_like(total)
         mag = np.empty(total.shape)
         lift_rows, half_rows = lifts.reshape(rows.shape), half.reshape(rows.shape)

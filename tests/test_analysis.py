@@ -484,8 +484,8 @@ class TestToleranceEdges:
 
 
 class TestTies:
-    """Exact ties name the first location in each verdict's order (dyadic,
-    diagonal inputs: the same bits on every platform)."""
+    """Ties, exact or within ``TIE_ULPS``, name the first location in each
+    verdict's order (dyadic, diagonal inputs: the same bits on every platform)."""
 
     def test_trace_verdicts_name_the_first_pair(self):
         q = position_observable(2)
@@ -508,6 +508,15 @@ class TestTies:
                       "observed": 0.0, "target": 0.5}
         for first, second in ((a, b), (b, a)):
             assert products(first, second).deviations.tolist() == [[0.5, 0.5], [0.5, 0.5]]
+
+    def test_a_near_tie_names_the_first_location(self):
+        """tr(A_1 B_0) is 2 ulps further from 1/2 than tr(A_0 B_0): it is the
+        maximum, but the witness names the first pair within TIE_ULPS of it."""
+        later = 0.75 + np.spacing(0.75)
+        b = Observable(["0", "1"], [np.diag([0.75, later]), np.diag([0.25, 1.0 - later])])
+        verdict = check_generalized_mu(position_observable(2), b)
+        assert verdict.max_deviation == later - 0.5 > 0.25
+        assert verdict.witness == {"x": "0", "y": "0", "observed": 0.75, "target": 0.5}
 
 
 class TestReconcile:

@@ -48,9 +48,12 @@ def eigh_matrices():
 
 def eigh_only(stack, tol=None):
     """``hermitian_eigs`` without the certificate: ``hermitian_eig`` per
-    matrix, and no matrix marked certified, so no closed form applies."""
+    matrix, the stack symmetrized in place and frozen, and no matrix marked
+    certified, so no closed form applies."""
     mat_tol, _ = linalg.tols(stack.shape[-1], tol)
     w, v = zip(*(linalg.hermitian_eig(m, mat_tol) for m in stack))
+    stack[:] = linalg.hermitian_part(stack)
+    linalg.freeze(stack)
     spectral = linalg.SpectralDecomposition(linalg.freeze(np.stack(w)), linalg.freeze(np.stack(v)))
     return spectral, linalg.freeze(np.zeros(len(stack), dtype=bool))
 
@@ -97,7 +100,7 @@ def test_certificate_matches_eigh(kind, dim, seed, tol, weight, sign):
         weight = min(weight, 0.5)
     m = linalg.as_matrix(_input(kind, dim, np.random.default_rng(seed), tol, weight, sign))
     with eigh_matrices() as seen:
-        spectral, certified = linalg.hermitian_eigs(m[None], tol)
+        spectral, certified = linalg.hermitian_eigs(m[None].copy(), tol)
     got = linalg.SpectralDecomposition(*(x[0] for x in spectral))
     ref = linalg.hermitian_eig(m, linalg.tols(dim, tol)[0])
     assert (sum(seen) == 0) == CERTIFIED[kind]
@@ -191,7 +194,7 @@ def test_effects_are_views_of_the_validated_stack():
 
 def test_certified_eigenvector_is_the_normalized_column():
     v = random_unitary(4, 8)[:, 2] * 0.6
-    spectral, certified = linalg.hermitian_eigs(linalg.as_matrix(np.outer(v, v.conj()))[None])
+    spectral, certified = linalg.hermitian_eigs(linalg.as_stack([np.outer(v, v.conj())]))
     got = linalg.SpectralDecomposition(*(x[0] for x in spectral))
     assert certified.tolist() == [True]
     u = got.eigenvectors[:, -1]

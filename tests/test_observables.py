@@ -137,6 +137,14 @@ class TestDistribution:
             Distribution(("0", "1"), (0.5, 0.6))
         assert isinstance(info.value, ValueError)
 
+    def test_sum_is_bounded_by_the_tolerance_in_force(self):
+        """The effects sum to (1 + 1e-7) I, within the observable's tol 1e-6."""
+        obs = Observable(["0", "1"], [0.5 * (1 + 1e-7) * np.eye(4)] * 2, tol=1e-6)
+        rho = State(np.eye(4) / 4)
+        assert sum(distribution(rho, obs, tol=1e-6).probabilities) == pytest.approx(1 + 1e-7, abs=1e-15)
+        with pytest.raises(NotNormalized, match="sum to 1.0000001"):
+            distribution(rho, obs)
+
     def test_mapping_access(self):
         rho = State.pure([0.0, 1.0])
         dist = distribution(rho, two_outcome())
@@ -391,7 +399,7 @@ class TestConjugate:
                        (momentum_observable(dim), random_unitary(dim, 2)),
                        (position_observable(dim), np.eye(dim))):
             want = np.array([u @ e.matrix @ u.conj().T for e in obs.effects])
-            assert conjugate(obs, u).stack().tobytes() == want.tobytes()
+            assert conjugate(obs, u).stack().tobytes() == linalg.hermitian_part(want).tobytes()
 
     def test_a_nested_list_is_a_unitary(self):
         u = random_unitary(4, 3)
@@ -441,7 +449,12 @@ def mixed_rank(dim, m, rng):
     return Observable([str(x) for x in range(m)], lines + [np.eye(dim) - sum(lines, np.zeros((dim, dim)))])
 
 
-LIFT_FACTOR_CASES = {
+def exactly_hermitian(m):
+    return np.array_equal(m, m.conj().swapaxes(-1, -2))
+
+
+HAAR_CASES = {
+    "atomic": lambda dim, rng: momentum_observable(dim),
     "unsharp": lambda dim, rng: random_observable(dim, 3, "unsharp", rng),
     "sharp": lambda dim, rng: random_observable(dim, 2, "sharp", rng),
     "snap-band": lambda dim, rng: snap_band_basis(random_unitary(dim, rng)),
@@ -485,20 +498,42 @@ class TestProducts:
         elif kind == "mixed-rank":
             assert len(open_lines) == 0 and a._certified[:-1].all()
 
-    @pytest.mark.parametrize("build", sorted(LIFT_FACTOR_CASES))
+    @pytest.mark.parametrize("build", sorted(HAAR_CASES))
     def test_lift_factors_are_exactly_hermitian(self, build):
         """The lift takes R B_y as the adjoint of B_y R, which needs sqrt(A_x)
-        and the Hermitian part of B's stack Hermitian in every bit. The
-        effects are conjugated by a Haar unitary, so their own stack is not."""
-        def exactly_hermitian(m):
-            return np.array_equal(m, m.conj().swapaxes(-1, -2))
-
+        and B's stack Hermitian in every bit. The effects are conjugated by a
+        Haar unitary, whose products are Hermitian only within rounding."""
         for dim in (3, 5, 8, 17):
             rng = np.random.default_rng(dim)
-            obs = conjugate(LIFT_FACTOR_CASES[build](dim, rng), random_unitary(dim, rng))
-            assert not exactly_hermitian(obs.stack())
+            obs = conjugate(HAAR_CASES[build](dim, rng), random_unitary(dim, rng))
+            assert exactly_hermitian(obs.stack())
             assert all(exactly_hermitian(e.sqrt()) for e in obs.effects)
-            assert exactly_hermitian(linalg.hermitian_part(obs.stack()))
+
+
+class TestHermitianStacks:
+    """Validation writes H = (M + M*)/2 over the stack it decomposes, so every
+    validated matrix is Hermitian in every bit, and so is every construction's,
+    though a Haar-conjugated input is Hermitian only within rounding."""
+
+    @pytest.mark.parametrize("kind", sorted(HAAR_CASES))
+    @pytest.mark.parametrize("dim", [3, 5, 8, 17])
+    def test_validated_stacks_are_their_hermitian_part(self, kind, dim):
+        rng = np.random.default_rng(dim)
+        base = HAAR_CASES[kind](dim, rng)
+        u = random_unitary(dim, rng)
+        raw = u @ base.stack() @ u.conj().T
+        before = raw.tobytes()
+        assert not exactly_hermitian(raw)
+        obs = Observable(base.outcomes, raw)
+        assert obs.stack().tobytes() == linalg.hermitian_part(raw).tobytes()
+        assert all(exactly_hermitian(e.matrix) for e in obs.effects)
+        assert all(exactly_hermitian(Effect(m).matrix) for m in raw)
+        assert raw.tobytes() == before  # validation writes its own copy only
+        other = conjugate(position_observable(dim), u)
+        pm = PartitionMap(obs.outcomes, ("0", "1"), {x: str(k % 2) for k, x in enumerate(obs.outcomes)})
+        for derived in (other, coarse_grain(obs, pm), conditioned(obs, other), conditioned(other, obs),
+                        obs_seq_product(obs, other), obs_seq_product(other, obs)):
+            assert exactly_hermitian(derived.stack())
 
 
 BELL = {0: 1, 1: 1, 2: 2, 3: 5, 4: 15, 5: 52}
