@@ -112,14 +112,18 @@ def _trace_table(a: Observable, b: Observable) -> np.ndarray:
     return linalg.frobenius(a.stack(), b.stack())
 
 
+def _first_near_max(values: np.ndarray) -> int:
+    """The first index in C order within TIE_ULPS ulps of the maximum: rounding picks no tie."""
+    return int(np.argmax(values >= values.max() - TIE_ULPS * np.spacing(values.max())))
+
+
 def _verdict(devs: np.ndarray, mat_tol: float, witness) -> Verdict:
     """The verdict of a nonempty deviation array, whose maximum is ``max_deviation``. Above
-    ``mat_tol`` it names ``witness(index, deviation)``: the first location in C order within
-    TIE_ULPS units in the last place of the maximum, so rounding does not pick the label."""
+    ``mat_tol`` it names ``witness(index, deviation)`` at ``_first_near_max``."""
     worst = float(devs.max())
     if worst <= mat_tol:
         return Verdict(True, worst)
-    k = int(np.argmax(devs >= worst - TIE_ULPS * np.spacing(worst)))
+    k = _first_near_max(devs)
     return Verdict(False, worst, witness(k, float(devs.flat[k])))
 
 
@@ -216,8 +220,8 @@ def _complementarity_verdict(a: Observable, b: Observable, tol: float | None,
         target = 1.0 / len(second)
         basis = first.effects[x].unit_eigenspace(eig_tol)
         compressed = basis.conj().T @ second.effects[y].matrix @ basis
-        w, v = np.linalg.eigh((compressed + compressed.conj().T) / 2.0)
-        j = int(np.argmax(np.abs(w - target)))
+        w, v = np.linalg.eigh((compressed + compressed.conj().T) / 2.0)  # both triangles count (``linalg``)
+        j = _first_near_max(np.abs(w - target))  # ascending: the lowest of tied extremes
         return {"side": side, "certain_outcome": first.outcomes[x], "other_outcome": second.outcomes[y],
                 "state": tuple((float(z.real), float(z.imag)) for z in basis @ v[:, j]),
                 "observed": float(w[j]), "target": target}
@@ -239,8 +243,8 @@ def check_value_complementary(a: Observable, b: Observable,
 
     The witness on failure is a unit vector inside the worst subspace
     chosen to push the other side's probability as far from its target as
-    possible (an extremal eigenvector of the compressed effect), together
-    with the probability it observes.
+    possible (an extremal eigenvector of the compressed effect; of extremes
+    tied up to rounding, the lowest), together with the probability it observes.
     """
     require_same_dim(a, b)
     return _complementarity_verdict(a, b, tol, (line_table(a, b)[0], line_table(b, a)[0]))

@@ -68,7 +68,7 @@ class Effect:
         if self._sqrt is None:
             v, s = self.factor()
             r = (v * s) @ v.conj().T
-            self._sqrt = linalg.freeze((r + r.conj().T) / 2.0)
+            self._sqrt = linalg.freeze((r + r.conj().T) / 2.0)  # Hermitian in every bit (``linalg``)
         return self._sqrt
 
     def complement(self, tol: float | None = None) -> "Effect":
@@ -152,15 +152,14 @@ def atomic_spectra(w: np.ndarray, tol: float) -> bool:
 
 
 def seq_matrix(a: Effect, b: Effect) -> np.ndarray:
-    """The matrix sqrt(A) B sqrt(A), symmetrized to shed roundoff asymmetry.
+    """The matrix sqrt(A) B sqrt(A) as computed, Hermitian within rounding.
 
     Not validated: the sequential product of two effects is an effect, so
     the reference checkers in ``oracle`` compare this matrix directly, and
     ``seq_product`` and ``observables.obs_seq_product`` validate it.
     """
     require_same_dim(a, b)
-    r = a.sqrt() @ b.matrix @ a.sqrt()
-    return (r + r.conj().T) / 2.0
+    return a.sqrt() @ b.matrix @ a.sqrt()
 
 
 def seq_product(a: Effect, b: Effect, tol: float | None = None) -> Effect:
@@ -200,8 +199,10 @@ class State:
 
     @classmethod
     def pure(cls, vector) -> "State":
-        """Rank-one state |v><v| from a (not necessarily normalized) vector."""
+        """Rank-one state |v><v| from a (not necessarily normalized) 1-D vector."""
         v = np.asarray(vector, dtype=complex)
+        if v.ndim != 1:
+            raise DimMismatch(f"expected a vector, got shape {v.shape}")
         n = np.linalg.norm(v)
         if n == 0:
             raise NotNormalized("zero vector cannot define a state")

@@ -3,8 +3,12 @@
 All matrices are square ``complex128`` numpy arrays, write-protected once
 validated. Validation writes H = (M + M*) / 2 over the stack it decomposes
 (``hermitian_eigs``), so a validated stack is Hermitian in every bit and is
-the matrix its decomposition describes. Routines here assume nothing about
-physical meaning; the effect and observable layers build on top.
+the matrix its decomposition describes. It is where asymmetry is dropped:
+products and their sums stay as computed, Hermitian within rounding, until
+validated. Only ``Effect.sqrt`` (the lift takes R B as the adjoint of B R, so
+R must be Hermitian in every bit) and the value-complementarity witness (its
+``eigh`` reads one triangle; both count) symmetrize as well. Routines here
+assume nothing about physical meaning; the effect and observable layers build on top.
 
 Two routines diagonalize. ``hermitian_eig`` runs ``eigh`` on one matrix.
 ``hermitian_eigs`` decomposes a whole (m, d, d) stack into one stacked decomposition,
@@ -105,19 +109,6 @@ def max_abs(m: np.ndarray) -> float:
 def max_abs_each(stack: np.ndarray) -> np.ndarray:
     """``max_abs`` of every matrix in a stack: shape (n, d, d) gives (n,)."""
     return np.abs(stack).max(axis=(-2, -1))
-
-
-def hermitian_part(m: np.ndarray) -> np.ndarray:
-    """(M + M*) / 2, of a matrix or of every matrix in a stack.
-
-    Made in place on one C-ordered copy of the transposed view: conjugate,
-    add M, halve. Addition commutes, so the bits are those of (M + M*) / 2.
-    """
-    out = np.swapaxes(m, -1, -2).copy()
-    np.conjugate(out, out=out)
-    out += m
-    out /= 2.0
-    return out
 
 
 def projections(vectors: np.ndarray) -> np.ndarray:

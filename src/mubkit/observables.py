@@ -221,13 +221,13 @@ class Products(NamedTuple):
     and highest coefficient, the rest 0: the deviation is convex in it, so each row's max is exact."""
 
     deviations: np.ndarray   # (m, n): max_abs(A_x o B_y - A_x / n), as above
-    conditioned: np.ndarray  # (n, d, d): (B|A)_y = sum_x A_x o B_y, Hermitian, not validated
+    conditioned: np.ndarray  # (n, d, d): (B|A)_y as summed; Hermitian within rounding; not validated
     lines: LineTable         # the rank-one A_x against B, without their projections
 
 
 def products(a: Observable, b: Observable) -> Products:
     """Make every A_x o B_y once and reduce it as it is made: into condition
-    (1)'s deviation table (``Products``) and into the running sum (B|A)_y.
+    (1)'s deviation table (``Products``) and into the running sum (B|A)_y, kept as summed.
 
     The one place that chooses how a product is made. For a rank-one
     effect A_x = w_x v v* (``line_table``), A_x o B_y = c_xy P_x with
@@ -271,7 +271,7 @@ def products(a: Observable, b: Observable) -> Products:
             np.subtract(lifts, scale * a.effects[x].matrix, out=half)
             np.max(np.abs(half, out=mag), axis=(-2, -1), out=devs[x])
             total += lifts
-    return Products(devs, linalg.hermitian_part(total), lines)
+    return Products(devs, total, lines)
 
 
 def conditioned(b: Observable, a: Observable, tol: float | None = None) -> Observable:

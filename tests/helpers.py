@@ -21,6 +21,11 @@ def mat_approx_eq(a, b, tol=None):
     return linalg.max_abs(a - b) <= mat_tol
 
 
+def hermitian_formula(m):
+    """(M + M*) / 2 of a matrix or of every matrix in a stack: the reference for validation's bits."""
+    return (m + np.swapaxes(m, -1, -2).conj()) / 2.0
+
+
 def rng_for(seed):
     return np.random.default_rng(seed)
 

@@ -161,7 +161,8 @@ class TestValueComplementary:
         psi = np.array([re + 1j * im for re, im in w["state"]])
         other = q.effect(w["other_outcome"])
         assert np.vdot(psi, other.matrix @ psi).real == pytest.approx(w["observed"], abs=1e-10)
-        assert w["observed"] == pytest.approx(0.5, abs=1e-10)
+        # 0 and 1/2 are tied extremes around 1/4: the witness takes the first, ascending
+        assert w["observed"] == pytest.approx(0.0, abs=1e-10)
 
 
 class TestGeneralizedMu:
@@ -517,6 +518,17 @@ class TestTies:
         verdict = check_generalized_mu(position_observable(2), b)
         assert verdict.max_deviation == later - 0.5 > 0.25
         assert verdict.witness == {"x": "0", "y": "0", "observed": 0.75, "target": 0.5}
+
+    def test_tied_certainty_extremes_name_the_lowest_eigenvalue(self):
+        """Compressed to A_0's certainty subspace, B_0 has eigenvalues 1/2 -+ sqrt(2)/4, equally
+        far from 1/2 up to rounding: the witness takes the first, in ascending order."""
+        a, b = build_pair("coarse-mismatched", 4, 0)
+        for verdict in (check_value_complementary(a, b), classify_pair(a, b).value_complementary):
+            witness = verdict.witness
+            assert (witness["side"], witness["certain_outcome"], witness["other_outcome"]) == ("A", "0", "0")
+            assert witness["observed"] == pytest.approx(0.5 - 2 ** 0.5 / 4, abs=1e-12)
+            state = np.array([complex(*z) for z in witness["state"]])
+            assert (state.conj() @ b.effects[0].matrix @ state).real == pytest.approx(witness["observed"], abs=1e-12)
 
 
 class TestReconcile:

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import hermitian_formula
 from mubkit import (
     Effect,
     Observable,
@@ -52,7 +53,7 @@ def eigh_only(stack, tol=None):
     certified, so no closed form applies."""
     mat_tol, _ = linalg.tols(stack.shape[-1], tol)
     w, v = zip(*(linalg.hermitian_eig(m, mat_tol) for m in stack))
-    stack[:] = linalg.hermitian_part(stack)
+    stack[:] = hermitian_formula(stack)
     linalg.freeze(stack)
     spectral = linalg.SpectralDecomposition(linalg.freeze(np.stack(w)), linalg.freeze(np.stack(v)))
     return spectral, linalg.freeze(np.zeros(len(stack), dtype=bool))

@@ -33,7 +33,7 @@ from mubkit.fourier import (
     momentum_observable,
     position_observable,
 )
-from mubkit.observables import coarse_grain
+from mubkit.observables import Observable, coarse_grain
 from test_differential import KINDS, build_pair
 
 
@@ -644,6 +644,25 @@ class TestToleranceResolution:
             assert code == 2 and out == ""
             lines = err.splitlines()
             assert len(lines) == 1 and "finite positive" in lines[0]
+
+    def test_default_is_one_dimension_scaled_tol(self, tmp_path, capsys, monkeypatch):
+        """With no --tol and no MUBKIT_TOL, the CLI passes 1e-9 * d as the one tol, so its
+        eigenvalue tolerance is 1e-9 * d too, not EIGENVALUE_TOL: at d = 16, an eigenvalue
+        5e-9 below 1 marks a certainty subspace for the CLI but not for classify_pair(a, a)."""
+        monkeypatch.delenv("MUBKIT_TOL", raising=False)
+        a0 = np.diag([1.0 - 5e-9] + [0.5] * 15).astype(complex)
+        a = Observable(["0", "1"], [a0, np.eye(16) - a0])
+        library = classify_pair(a, a)
+        assert library.value_complementary.vacuous and library.flags == ("vacuous",)
+        (tmp_path / "a.json").write_text(_observable_text(a), encoding="utf-8")
+        code, out, _ = run(["check", "value-complementary", str(tmp_path / "a.json"),
+                            str(tmp_path / "a.json")], capsys)
+        doc = json.loads(out)
+        assert code == 1 and doc["tolerance"] == 1.6e-08 == linalg.default_tol(16)
+        assert doc["report"]["verdicts"]["value_complementary"]["vacuous"] is False
+        # the CLI validates and classifies at that one tol
+        same = Observable(a.outcomes, a.stack(), linalg.default_tol(16))
+        assert report_from_json(doc["report"]) == classify_pair(same, same, linalg.default_tol(16))
 
 
 class TestCoarseGrain:

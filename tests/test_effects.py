@@ -303,6 +303,11 @@ class TestState:
         s = State.pure([2.0, 0.0])
         assert mat_approx_eq(s.matrix, Q0_DIM2, tol=1e-15)
 
+    @pytest.mark.parametrize("vector", [1.0, np.eye(2), np.ones((2, 2, 2))], ids=["scalar", "matrix", "3d"])
+    def test_pure_takes_only_a_vector(self, vector):
+        with pytest.raises(DimMismatch, match="expected a vector"):
+            State.pure(vector)
+
 
 class TestOccurrenceProbability:
     def test_momentum_in_position_state(self):

@@ -191,20 +191,6 @@ def _random_complex(shape, rng):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def test_hermitian_part_has_the_bits_of_the_formula():
-    rng = np.random.default_rng(37)
-    square = _random_complex((5, 5), rng)
-    stack = _random_complex((4, 6, 6), rng)
-    frozen = linalg.freeze(stack.copy())
-    strided = _random_complex((3, 14, 14), rng)[:, ::2, 1::2]  # non-contiguous 7 x 7
-    for m in (square, stack, frozen, strided, stack.transpose(0, 2, 1)):
-        expected = (m + np.swapaxes(m, -1, -2).conj()) / 2.0
-        got = linalg.hermitian_part(m)
-        assert np.array_equal(got, expected)
-        assert got.flags.c_contiguous and got.flags.writeable
-    assert np.array_equal(frozen, stack)  # the input is not written
-
-
 def test_projections_stack_is_c_ordered_outer_products():
     rng = np.random.default_rng(41)
     v = _random_complex((5, 3), rng)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import mat_approx_eq
+from helpers import hermitian_formula, mat_approx_eq
 from mubkit import linalg
 from mubkit.effects import Effect, State, seq_matrix, seq_product
 from mubkit.errors import (
@@ -399,7 +399,7 @@ class TestConjugate:
                        (momentum_observable(dim), random_unitary(dim, 2)),
                        (position_observable(dim), np.eye(dim))):
             want = np.array([u @ e.matrix @ u.conj().T for e in obs.effects])
-            assert conjugate(obs, u).stack().tobytes() == linalg.hermitian_part(want).tobytes()
+            assert conjugate(obs, u).stack().tobytes() == hermitian_formula(want).tobytes()
 
     def test_a_nested_list_is_a_unitary(self):
         u = random_unitary(4, 3)
@@ -525,7 +525,7 @@ class TestHermitianStacks:
         before = raw.tobytes()
         assert not exactly_hermitian(raw)
         obs = Observable(base.outcomes, raw)
-        assert obs.stack().tobytes() == linalg.hermitian_part(raw).tobytes()
+        assert obs.stack().tobytes() == hermitian_formula(raw).tobytes()
         assert all(exactly_hermitian(e.matrix) for e in obs.effects)
         assert all(exactly_hermitian(Effect(m).matrix) for m in raw)
         assert raw.tobytes() == before  # validation writes its own copy only
@@ -534,6 +534,11 @@ class TestHermitianStacks:
         for derived in (other, coarse_grain(obs, pm), conditioned(obs, other), conditioned(other, obs),
                         obs_seq_product(obs, other), obs_seq_product(other, obs)):
             assert exactly_hermitian(derived.stack())
+        # (B|A) leaves ``products`` as summed, Hermitian within rounding; validation symmetrizes it
+        for first, second in ((obs, other), (other, obs)):
+            summed = products(first, second).conditioned
+            assert np.abs(summed - summed.conj().swapaxes(-1, -2)).max() <= 1e-15
+            assert conditioned(second, first).stack().tobytes() == hermitian_formula(summed).tobytes()
 
 
 BELL = {0: 1, 1: 1, 2: 2, 3: 5, 4: 15, 5: 52}
