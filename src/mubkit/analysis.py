@@ -295,8 +295,13 @@ def classify_pair(a: Observable, b: Observable, tol: float | None = None) -> Pai
     Violations of the proven implications (condition (1) implies condition
     (2) and generalized unbiasedness; the four predicates coincide for
     atomic pairs) raise InternalInconsistency, unless every failing verdict
-    is within 10x tolerance of passing, which is recorded as a 'marginal'
-    flag instead.
+    is within the slack 10 max(d, m, n) tol of passing, which is recorded as
+    a 'marginal' flag instead. The implications bound a failing counterpart
+    only by a multiple of the tolerance the holding side meets: condition
+    (2) sums m resp. n condition-(1) terms (max(m, n) tol); generalized
+    unbiasedness takes traces of d x d matrices (2d tol); inside the atomic
+    group, max|v|^2 >= 1/d scales one deviation into another by up to d
+    (d tol). The factor 10 also covers the zero band of the square root.
     """
     require_same_dim(a, b)
     mat_tol, eig_tol = linalg.tols(a.dim, tol)
@@ -309,7 +314,7 @@ def classify_pair(a: Observable, b: Observable, tol: float | None = None) -> Pai
     gmu = _trace_verdict(a, b, table, forced_alpha(a, b), mat_tol)
 
     flags: list[str] = []
-    limit = 10 * mat_tol
+    limit = 10 * max(a.dim, len(a), len(b)) * mat_tol
     if c1.holds and not c2.holds:
         _reconcile(flags, "condition (1) holds but condition (2) fails", [c2], limit)
     if c1.holds and not gmu.holds:

@@ -5,7 +5,8 @@ Layout of an observable file::
     {"dim": 2, "outcomes": ["0", "1"], "effects": [[[..re, im..], ...], ...]}
 
 Every complex entry is a two-element array [re, im]; effect matrices are
-row-major. A report file holds the tool name/version, the input paths, the
+row-major. ``observable_from_json`` is the one reader of such a document.
+A report file holds the tool name/version, the input paths, the
 tolerance used and the ``analysis.PairReport``: its fields in dataclass
 order, with the five verdicts nested under ``"verdicts"`` and ``flags`` as
 a list. ``report_from_json`` rebuilds the report losslessly.
@@ -28,7 +29,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 from itertools import chain
@@ -46,7 +46,7 @@ from .errors import (
     ParseError,
 )
 from .fourier import example_partitions, fourier_matrix, momentum_observable, position_observable
-from .observables import Observable, PartitionMap, coarse_grain, observable_new
+from .observables import Observable, PartitionMap, coarse_grain
 
 ENV_TOL = "MUBKIT_TOL"
 
@@ -59,14 +59,44 @@ def _float_pairs(m: np.ndarray) -> np.ndarray:
     return m.view(float).reshape(*m.shape, 2)
 
 
-def matrix_from_json(rows) -> np.ndarray:
-    """A d x d complex matrix from d rows of d [re, im] pairs of JSON numbers.
+def _observable_document(obs: Observable) -> dict:
+    """The fields of an observable file, with the effects as one float array."""
+    return {"dim": obs.dim, "outcomes": list(obs.outcomes), "effects": _float_pairs(obs.stack())}
 
-    The entries are flattened and checked by type in one pass, then read as
-    floats by numpy, with no Python loop per entry. The type check rejects
-    true and false, which ``complex`` and ``float`` would take as 1 and 0.
+
+def declared_dim(obj) -> int:
+    """The ``"dim"`` of an observable document: a positive int, not a bool, equal to
+    the row count of the first effect, so that a huge ``"dim"`` is rejected before a
+    default tolerance of 1e-9 * dim is computed from it. The document must be an object
+    with the three fields, ``"effects"`` a nonempty list."""
+    if not (isinstance(obj, dict) and {"dim", "outcomes", "effects"} <= obj.keys()):
+        raise ParseError('not an observable file: it needs an object with "dim", "outcomes" '
+                         'and "effects"')
+    dim, effects = obj["dim"], obj["effects"]
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+        raise ParseError(f"\"dim\" must be a positive integer, got {dim!r}")
+    if not (isinstance(effects, list) and effects and isinstance(effects[0], list)):
+        raise ParseError("\"effects\" must be a nonempty list of matrices")
+    if len(effects[0]) != dim:
+        raise DimMismatch(f"declared dim {dim}, first effect has {len(effects[0])} rows")
+    return dim
+
+
+def observable_from_json(obj, tol: float | None = None) -> Observable:
+    """The observable of a parsed observable document, validated at ``tol``.
+
+    After ``declared_dim`` and the labels, every effect's rows of [re, im]
+    pairs are flattened and checked by type in one pass, then read as
+    floats by numpy into the (m, dim, dim) stack, with no Python loop per
+    entry. The type check rejects true and false, which ``float`` would take
+    as 1 and 0.
     """
+    dim = declared_dim(obj)
+    labels, effects = obj["outcomes"], obj["effects"]
+    if not (isinstance(labels, list) and all(isinstance(label, str) for label in labels)):
+        raise ParseError("\"outcomes\" must be a list of string labels")
     try:
+        rows = list(chain.from_iterable(effects))
         pairs = list(chain.from_iterable(rows))
         values = list(chain.from_iterable(pairs))
     except TypeError as exc:
@@ -77,35 +107,14 @@ def matrix_from_json(rows) -> np.ndarray:
         raise ParseError(f"matrix entries must be numbers, got {names}")
     if set(map(len, pairs)) != {2}:
         raise ParseError("matrix entries must be [re, im] pairs")
-    dim = len(rows)
-    lengths = set(map(len, rows))
+    lengths = set(map(len, effects)) | set(map(len, rows))
     if lengths != {dim}:
-        raise ParseError(f"matrix must be square, got {dim} rows of lengths {sorted(lengths)}")
+        raise ParseError(f"effects must be {dim} x {dim} matrices, got lengths {sorted(lengths)}")
     try:
-        return np.array(values, dtype=float).view(complex).reshape(dim, dim)
+        stack = np.array(values, dtype=float).view(complex).reshape(len(effects), dim, dim)
     except OverflowError as exc:
         raise ParseError(f"matrix entries must be finite floats: {exc}") from exc
-
-
-def _observable_document(obs: Observable) -> dict:
-    """The fields of an observable file, with the effects as one float array."""
-    return {"dim": obs.dim, "outcomes": list(obs.outcomes), "effects": _float_pairs(obs.stack())}
-
-
-def observable_from_json(obj, tol: float | None = None) -> Observable:
-    if not isinstance(obj, dict):
-        raise ParseError("observable file must hold a JSON object")
-    missing = {"dim", "outcomes", "effects"} - set(obj)
-    if missing:
-        raise ParseError(f"observable file is missing field(s) {sorted(missing)}")
-    for field in ("outcomes", "effects"):
-        if not isinstance(obj[field], list):
-            raise ParseError(f"observable field {field!r} must be a list")
-    for label in obj["outcomes"]:
-        if not isinstance(label, str):
-            raise ParseError(f"outcome labels must be strings, got {type(label).__name__}")
-    matrices = [matrix_from_json(rows) for rows in obj["effects"]]
-    return observable_new(obj["dim"], obj["outcomes"], matrices, tol)
+    return Observable(labels, stack, tol)
 
 
 def load_json(path: str):
@@ -198,35 +207,17 @@ def report_from_json(obj) -> analysis.PairReport:
     return analysis.PairReport(**{**fields, "flags": tuple(obj["flags"])})
 
 
-def report_file(report: analysis.PairReport, tolerance: float, inputs: list[str]) -> dict:
-    return {
-        "tool": {"name": "mubkit", "version": __version__},
-        "inputs": inputs,
-        "tolerance": tolerance,
-        "report": report_to_json(report),
-    }
-
-
 def resolve_tol(flag_value: float | None, dim: int) -> float:
     """Tolerance resolution order: --tol flag, MUBKIT_TOL env var, 1e-9 * dim.
-
-    A tolerance from the flag or the variable must be finite and positive:
-    every comparison is ``deviation <= tol``, which NaN fails and a
-    negative value turns into a rejection of exact inputs.
-    """
-    if flag_value is not None:
-        tol, source = flag_value, "--tol"
-    else:
+    ``linalg.tols`` rejects a tolerance that is not finite and positive."""
+    tol = flag_value
+    if tol is None:
         env = os.environ.get(ENV_TOL)
-        if env is None or env == "":
-            return linalg.default_tol(dim)
         try:
-            tol, source = float(env), ENV_TOL
+            tol = float(env) if env else None
         except ValueError as exc:
             raise ParseError(f"{ENV_TOL}={env!r} is not a number") from exc
-    if not (math.isfinite(tol) and tol > 0):
-        raise ParseError(f"{source} must be a finite positive number, got {tol!r}")
-    return tol
+    return linalg.tols(dim, tol)[0]
 
 
 # ---------------------------------------------------------------- commands
@@ -264,58 +255,48 @@ def cmd_construct(args) -> int:
     return 0
 
 
-_PREDICATE_FIELDS = {
-    "mu": "mu",
-    "condition1": "condition1",
-    "condition2": "condition2",
-    "value-complementary": "value_complementary",
-    "generalized-mu": "generalized_mu",
-}
+#: The predicates of ``check``, in stderr order; a report field is a name with "_" for "-".
+_PREDICATES = ("mu", "condition1", "condition2", "value-complementary", "generalized-mu")
 
 
-def load_observable_file(path: str) -> tuple[dict, int]:
-    """The parsed JSON object of an observable file and its declared dimension.
+def load_observables(paths: list[str], flag_tol: float | None) -> tuple[float, list[Observable]]:
+    """The load step of ``check`` and ``coarse-grain``: each file's document and
+    declared dimension, which must agree; the tolerance (``resolve_tol``); then
+    each file's observable at that tolerance. An error in a file names it."""
+    docs = [load_json(path) for path in paths]
+    dims = [_in_file(path, declared_dim, doc) for path, doc in zip(paths, docs)]
+    if len(set(dims)) > 1:
+        raise DimMismatch(f"dims {dims[0]} and {dims[1]} differ")
+    tol = resolve_tol(flag_tol, dims[0])
+    return tol, [_in_file(path, observable_from_json, doc, tol) for path, doc in zip(paths, docs)]
 
-    The dimension must equal the row count of the first effect, so a huge
-    ``dim`` is rejected here, before the default tolerance multiplies it.
-    """
-    raw = load_json(path)
-    if not isinstance(raw, dict) or "dim" not in raw:
-        raise ParseError(f"{path}: not an observable file")
-    dim = raw["dim"]
-    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
-        raise ParseError(f"{path}: \"dim\" must be a positive integer, got {dim!r}")
-    effects = raw.get("effects")
-    if not (isinstance(effects, list) and effects and isinstance(effects[0], list)):
-        raise ParseError(f"{path}: \"effects\" must be a nonempty list of matrices")
-    if len(effects[0]) != dim:
-        raise DimMismatch(f"{path}: declared dim {dim}, first effect has {len(effects[0])} rows")
-    return raw, dim
+
+def _in_file(path: str, read, *args):
+    """``read(*args)``, with ``path`` in front of the message of a mubkit error it raises."""
+    try:
+        return read(*args)
+    except MubkitError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def cmd_check(args) -> int:
-    raw_a, dim = load_observable_file(args.fileA)
-    raw_b, dim_b = load_observable_file(args.fileB)
-    if dim != dim_b:
-        raise DimMismatch(f"dims {dim} and {dim_b} differ")
-    tol = resolve_tol(args.tol, dim)
-    a = observable_from_json(raw_a, tol)
-    b = observable_from_json(raw_b, tol)
+    tol, (a, b) = load_observables([args.fileA, args.fileB], args.tol)
     report = analysis.classify_pair(a, b, tol)
-
+    verdicts = {name: getattr(report, name.replace("-", "_")) for name in _PREDICATES}
     if args.predicate == "all":
-        verdicts = (getattr(report, name) for name in _VERDICTS)
-        ok = all(v.holds for v in verdicts if v is not None)
+        ok = all(v.holds for v in verdicts.values() if v is not None)
+    elif verdicts[args.predicate] is None:
+        raise NotAtomic("mu requires two atomic observables")
     else:
-        field = _PREDICATE_FIELDS[args.predicate]
-        verdict = getattr(report, field)
-        if verdict is None:
-            raise NotAtomic("mu requires two atomic observables")
-        ok = verdict.holds
+        ok = verdicts[args.predicate].holds
 
-    dump_json(report_file(report, tol, [args.fileA, args.fileB]), None)
-    for name, field in _PREDICATE_FIELDS.items():
-        v = getattr(report, field)
+    dump_json({
+        "tool": {"name": "mubkit", "version": __version__},
+        "inputs": [args.fileA, args.fileB],
+        "tolerance": tol,
+        "report": report_to_json(report),
+    }, None)
+    for name, v in verdicts.items():
         if v is None:
             _info(f"{name}: not applicable")
         else:
@@ -346,9 +327,7 @@ def parse_partition_spec(spec: str, outcomes: tuple[str, ...]) -> PartitionMap:
 
 
 def cmd_coarse_grain(args) -> int:
-    raw, dim = load_observable_file(args.fileA)
-    tol = resolve_tol(args.tol, dim)
-    obs = observable_from_json(raw, tol)
+    tol, (obs,) = load_observables([args.fileA], args.tol)
     pmap = parse_partition_spec(args.partition, obs.outcomes)
     merged = coarse_grain(obs, pmap, tol)
     dump_json(_observable_document(merged), args.out)
@@ -392,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_con.set_defaults(fn=cmd_construct)
 
     p_chk = sub.add_parser("check", help="classify a pair of observable files")
-    p_chk.add_argument("predicate", choices=[*_PREDICATE_FIELDS, "all"])
+    p_chk.add_argument("predicate", choices=[*_PREDICATES, "all"])
     p_chk.add_argument("fileA")
     p_chk.add_argument("fileB")
     p_chk.add_argument("--tol", type=float, default=None,

@@ -126,7 +126,7 @@ def effects_of(stack: np.ndarray, tol: float | None = None
     low, high = spectral.eigenvalues[:, 0], spectral.eigenvalues[:, -1]
     bad = np.flatnonzero(~((low >= -eig_tol) & (high <= 1.0 + eig_tol)))
     if len(bad):
-        value = low[bad[0]] if not low[bad[0]] >= -eig_tol else high[bad[0]]
+        value = float(low[bad[0]] if not low[bad[0]] >= -eig_tol else high[bad[0]])
         raise SpectrumOutOfRange(f"eigenvalue {value!r} outside [0, 1] by more than {eig_tol:.3e}")
     return [Effect.__new__(Effect)._set(m, linalg.SpectralDecomposition(w, v), zero)
             for m, w, v in zip(stack, *spectral)], spectral, certified

@@ -107,8 +107,7 @@ def random_observable(dim: int, m: int, kind: str, seed: Seed) -> Observable:
         total = sum(parts)
         w, v = np.linalg.eigh((total + total.conj().T) / 2.0)
         inv_root = (v / np.sqrt(w)) @ v.conj().T
-        effs = [inv_root @ g @ inv_root for g in parts]
-        effs = [(e + e.conj().T) / 2.0 for e in effs]
+        effs = [inv_root @ g @ inv_root for g in parts]  # validation keeps (M + M*)/2
     else:
         raise InvalidParams(f"unknown kind {kind!r}")
     return Observable([str(j) for j in range(m)], effs)

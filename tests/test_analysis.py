@@ -545,3 +545,32 @@ class TestReconcile:
         flags = ["marginal"]
         _reconcile(flags, "test", [Verdict(False, 5e-9)], limit=4e-8)
         assert flags == ["marginal"]
+
+    VERDICTS = ("mu", "value_complementary", "condition1", "condition2", "generalized_mu")
+
+    @pytest.mark.parametrize("tol", [5.2e-8, 6e-8, 8.4e-8])
+    def test_slack_scales_with_the_dimension(self, tol):
+        # condition (1) holds by 5.0e-8 and generalized unbiasedness misses by
+        # 8.5e-7, 17 times more at d = 17: a flat 10 * tol slack raised here
+        a, b = helpers.perturbed_chirp_pair()
+        rep = classify_pair(a, b, tol)
+        assert rep.flags == ("marginal",)
+        assert [getattr(rep, name).holds for name in self.VERDICTS] == [False, True, True, False, False]
+        assert rep.mu == check_mu(a, b, tol) and rep.generalized_mu == check_generalized_mu(a, b, tol)
+        assert rep.condition1 == check_condition1(a, b, tol)
+        assert rep.condition2 == check_condition2(a, b, tol)
+        assert rep.value_complementary == check_value_complementary(a, b, tol)
+
+    def test_every_implication_is_cross_checked(self, monkeypatch):
+        # condition (1) holding reaches the condition (2) and generalized
+        # unbiasedness checks, and the split atomic group the third
+        calls = []
+
+        def spy(flags, name, failing, limit):
+            calls.append(name.split(":")[0])
+            return _reconcile(flags, name, failing, limit)
+
+        monkeypatch.setattr("mubkit.analysis._reconcile", spy)
+        assert classify_pair(*helpers.perturbed_chirp_pair(), 1e-7).flags == ("marginal",)
+        assert calls == ["condition (1) holds but condition (2) fails",
+                         "condition (1) holds but generalized unbiasedness fails", "atomic pair"]

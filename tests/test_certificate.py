@@ -209,9 +209,9 @@ def test_certified_eigenvector_is_the_normalized_column():
     ([[[0.5, 0.3], [0.0, 0.5]], [[np.nan, 0.0], [0.0, 0.5]]],
      "outcome '0': max asymmetry 3.000e-01 exceeds tol 2.000e-09"),
     ([np.diag([1.2, -0.2]), [[0.5, 0.3], [0.0, 0.5]]],
-     "outcome '0': eigenvalue np.float64(-0.2) outside [0, 1] by more than 1.000e-09"),
+     "outcome '0': eigenvalue -0.2 outside [0, 1] by more than 1.000e-09"),
     ([np.eye(2) / 2, np.eye(3) * 2],
-     "outcome '1': eigenvalue np.float64(2.0) outside [0, 1] by more than 1.000e-09"),
+     "outcome '1': eigenvalue 2.0 outside [0, 1] by more than 1.000e-09"),
 ])
 def test_stacked_validation_names_the_first_invalid_outcome(effects, message):
     with pytest.raises(NotAnEffect) as err:

@@ -13,14 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 import mubkit
 from mubkit import linalg
 from mubkit.analysis import classify_pair
 from mubkit.cli import (
+    declared_dim,
     dump_json,
-    load_observable_file,
     main,
-    matrix_from_json,
     observable_from_json,
     parse_partition_spec,
     report_from_json,
@@ -34,6 +34,7 @@ from mubkit.fourier import (
     position_observable,
 )
 from mubkit.observables import Observable, coarse_grain
+from mubkit.oracle import random_observable
 from test_differential import KINDS, build_pair
 
 
@@ -74,7 +75,8 @@ class TestConstruct:
         assert code == 0
         obj = json.loads(out)
         assert obj["dim"] == 4
-        assert np.allclose(matrix_from_json(obj["matrix"]), fourier_matrix(4), atol=0)
+        pairs = np.array(obj["matrix"])
+        assert np.array_equal(pairs[..., 0] + 1j * pairs[..., 1], fourier_matrix(4))
 
     def test_example5_writes_pair(self, files):
         q_half, p_parity, _ = example_partitions()
@@ -125,13 +127,18 @@ class TestConstruct:
 
 
 class TestMatrixJson:
+    """``observable_from_json`` reads every effect's [re, im] pairs as they were written."""
+
     def test_round_trip_is_exact(self):
         rng = np.random.default_rng(47)
-        m = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        m[0, 0] = -0.0
-        got = matrix_from_json(json.loads(json.dumps(_pairs_by_entry(m))))
-        assert np.array_equal(got, m) and np.signbit(got[0, 0].real)
-        assert np.array_equal(matrix_from_json([[[1, -2]]]), [[1 - 2j]])
+        obs = random_observable(5, 3, "unsharp", rng)
+        assert np.array_equal(observable_from_json(json.loads(_observable_text(obs))).stack(), obs.stack())
+        doc = json.loads(_observable_text(position_observable(3)))
+        doc["effects"][0][1][1] = [-0.0, 0.0]  # validation's (M + M*)/2 keeps the sign of -0.0 + -0.0
+        got = observable_from_json(doc).stack()
+        assert np.array_equal(got, position_observable(3).stack()) and np.signbit(got[0, 1, 1].real)
+        one = {"dim": 1, "outcomes": ["0"], "effects": [[[[1, -0.0]]]]}
+        assert np.array_equal(observable_from_json(one).stack(), [[[1 + 0j]]])
 
     @pytest.mark.parametrize("rows", [
         7, "ab", {"a": 1}, [], [[]], [[{}]],
@@ -141,8 +148,10 @@ class TestMatrixJson:
         [[[10**400, 0.0]]],
     ])
     def test_malformed_matrices_are_parse_errors(self, rows):
+        # the malformed matrix follows a valid first effect, which fixes "dim" at 1
+        doc = {"dim": 1, "outcomes": ["0", "1"], "effects": [[[[1.0, 0.0]]], rows]}
         with pytest.raises(ParseError):
-            matrix_from_json(rows)
+            observable_from_json(doc)
 
 
 def _pairs_by_entry(m) -> list:
@@ -213,9 +222,9 @@ class TestFileText:
     def test_momentum_64_round_trip(self, tmp_path, capsys):
         path = tmp_path / "p64.json"
         assert run(["construct", "momentum", "64", "--out", str(path)], capsys)[0] == 0
-        raw, dim = load_observable_file(str(path))
+        raw = json.loads(path.read_text("utf-8"))
         want = momentum_observable(64)
-        assert dim == 64
+        assert declared_dim(raw) == 64
         assert np.array_equal(observable_from_json(raw).stack(), want.stack())
         # every field, and every number bit for bit with signed zeros (the
         # indented layout is pinned by test_construct_kinds and the writer test)
@@ -472,6 +481,37 @@ class TestCheck:
         # (Q', P''): a value-complementarity witness with a state, and no mu
         code, out, _ = _check_all(*WORKED_PAIRS["Q',P''"](), tmp_path, capsys, monkeypatch)
         assert code == 1 and out == EXAMPLE6_CHECK_ALL
+
+    def test_marginal_pair_is_not_an_inconsistency(self, tmp_path, capsys, monkeypatch):
+        # condition (1) holds and generalized unbiasedness misses by 17 times
+        # as much at d = 17; with a flat 10 * tol slack this exited 2
+        monkeypatch.chdir(tmp_path)
+        for name, obs in zip(("q.json", "p.json"), helpers.perturbed_chirp_pair()):
+            (tmp_path / name).write_text(_observable_text(obs), encoding="utf-8")
+        code, out, err = run(["check", "all", "q.json", "p.json", "--tol", "6e-8"], capsys)
+        assert code == 1 and err.splitlines()[-1] == "flags: marginal"
+        verdicts = json.loads(out)["report"]["verdicts"]
+        assert [v["holds"] for v in verdicts.values()] == [False, True, True, False, False]
+
+    def test_eigenvalue_error_prints_a_plain_float(self, tmp_path, capsys, monkeypatch):
+        # momentum 8 rounded to 9 decimals has an eigenvalue -2e-9, outside [0, 1] at tol 1e-9
+        p = momentum_observable(8)
+        doc = {"dim": 8, "outcomes": list(p.outcomes),
+               "effects": np.round(np.stack([p.stack().real, p.stack().imag], -1), 9).tolist()}
+        (tmp_path / "p.json").write_text(json.dumps(doc), encoding="utf-8")
+        (tmp_path / "q.json").write_text(_observable_text(position_observable(8)), encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(["check", "all", "q.json", "p.json", "--tol", "1e-9"], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("error: p.json: outcome '1': eigenvalue -1.9894112800229873e-09"
+                       " outside [0, 1] by more than 1.000e-09\n")
+
+    @pytest.mark.parametrize("dim", [True, 1.0, 0, "1"])
+    def test_reader_takes_only_a_positive_int_dim(self, dim):
+        doc = {"dim": dim, "outcomes": ["0"], "effects": [[[[1.0, 0.0]]]]}
+        with pytest.raises(ParseError, match="positive integer"):
+            observable_from_json(doc)
+        assert observable_from_json({**doc, "dim": 1}).dim == 1
 
 
 _JUNK = [None, True, False, 0, -1, 3, 10**400, -10**400, 1.5, float("nan"), float("inf"),

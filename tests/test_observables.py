@@ -89,7 +89,7 @@ class TestValidation:
 
     def test_effect_arguments_are_validated_under_the_observables_tol(self):
         loose = [Effect(np.diag(w), tol=1e-6) for w in ([1.0 + 1e-7, 0.0], [-1e-7, 1.0])]
-        with pytest.raises(NotAnEffect, match=r"outcome 'x': eigenvalue np.float64\(1.0000001\)"):
+        with pytest.raises(NotAnEffect, match=r"outcome 'x': eigenvalue 1\.0000001 outside"):
             Observable(["x", "y"], loose)
         assert Observable(["x", "y"], loose, tol=1e-6).dim == 2
 
@@ -466,12 +466,10 @@ class TestProducts:
     """``products`` against one ``seq_matrix`` per (x, y), at the sizes the
     differential suite does not draw: n = 1 and row stacks past d = 7."""
 
-    @pytest.mark.parametrize("kind", ["unsharp", "mixed-rank", "snap-band"])
-    @pytest.mark.parametrize("dim", [1, 5, 8, 9, 16, 17, 32])
-    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("n, dim, kind", [  # a snap-band basis needs two basis vectors
+        (n, dim, kind) for n in (1, 2, 5) for dim in (1, 5, 8, 9, 16, 17, 32)
+        for kind in ("unsharp", "mixed-rank", "snap-band") if dim > 1 or kind != "snap-band"])
     def test_match_the_per_product_loop(self, kind, dim, n):
-        if kind == "snap-band" and dim == 1:
-            pytest.skip("a snap-band basis needs two basis vectors")
         rng = np.random.default_rng(100 * dim + n)
         a = {"unsharp": lambda: random_observable(dim, n, "unsharp", rng),
              "mixed-rank": lambda: mixed_rank(dim, n, rng),
