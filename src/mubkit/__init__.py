@@ -22,7 +22,6 @@ from .observables import (  # noqa: E402
     iter_partition_maps,
     iter_set_partitions,
     obs_seq_product,
-    observable_new,
 )
 from .fourier import (  # noqa: E402
     FourierBasisPair,
@@ -62,7 +61,7 @@ __all__ = [
     "CoexistenceWitness", "Distribution", "Observable", "PartitionMap",
     "coarse_grain", "coexistence_witness", "conditioned", "conjugate",
     "distribution", "iter_partition_maps", "iter_set_partitions",
-    "obs_seq_product", "observable_new",
+    "obs_seq_product",
     "FourierBasisPair", "example_partitions", "fourier_basis_pair",
     "fourier_matrix", "momentum_observable", "position_observable",
     "PairReport", "PartitionCriterion", "Verdict",

@@ -23,8 +23,11 @@ Effect or Observable; only the public constructors (``seq_product``,
 comparison a checker makes.
 
 The checkers are array programs over each observable's (m, d, d) stack.
-A product pass holds stacks of at most m or n matrices, so extra memory
-stays O((m + n) d^2); the (m, n, d, d) array of all products is never built.
+The (m, n, d, d) array of all products is never built. A product pass whose
+effects are all rank one holds its line table and condition (2)'s sums 8 rows
+at a time, O((m + n) d) numbers per row: no (m, d, d) stack, unless a line is
+uncertified and its forms read the lines' projections. Any other pass holds
+stacks of at most m or n matrices, O((m + n) d^2).
 
 * Conditions (1) and (2) read one product pass per ordered pair,
   ``observables.products``: it makes each A_x o B_y once, as one number per
@@ -162,10 +165,8 @@ def _product_verdicts(a: Observable, b: Observable, passes: tuple[Products, Prod
         side, obs, k = ("B|A", b, k) if k < n else ("A|B", a, k - n)
         return {"outcome": obs.outcomes[k], "side": side, "deviation": dev}
 
-    eye = np.eye(a.dim)
-    devs2 = [linalg.max_abs_each(given_a - eye / n), linalg.max_abs_each(given_b - eye / m)]
     return (_verdict(np.concatenate([dev_ab, dev_ba], axis=None), mat_tol, witness1),
-            _verdict(np.concatenate(devs2), mat_tol, witness2))
+            _verdict(np.concatenate([given_a, given_b]), mat_tol, witness2))
 
 
 def check_condition1(a: Observable, b: Observable, tol: float | None = None) -> Verdict:
@@ -247,7 +248,7 @@ def check_value_complementary(a: Observable, b: Observable,
     tied up to rounding, the lowest), together with the probability it observes.
     """
     require_same_dim(a, b)
-    return _complementarity_verdict(a, b, tol, (line_table(a, b)[0], line_table(b, a)[0]))
+    return _complementarity_verdict(a, b, tol, (line_table(a, b), line_table(b, a)))
 
 
 def forced_alpha(a: Observable, b: Observable) -> float:

@@ -132,14 +132,6 @@ def _validated(labels: tuple[str, ...], effects, tol: float | None
     raise DimMismatch(f"effects have mixed dimensions {sorted(dims)}")
 
 
-def observable_new(dim: int, outcomes: Sequence[str], matrices, tol: float | None = None) -> Observable:
-    """Validate raw matrices as an observable of the stated dimension."""
-    obs = Observable(outcomes, matrices, tol)
-    if obs.dim != dim:
-        raise DimMismatch(f"declared dim {dim}, effects are {obs.dim}x{obs.dim}")
-    return obs
-
-
 @dataclass(frozen=True)
 class Distribution:
     """Outcome probabilities of one observable in one state, summing to 1 within ``bound``."""
@@ -188,24 +180,25 @@ class LineTable(NamedTuple):
     forms: np.ndarray    # (n, K): Re <B_y, v v*>
 
 
-def line_table(a: Observable, b: Observable) -> tuple[LineTable, np.ndarray]:
-    """The line table of the ordered pair (A, B), of one dimension, and the
-    (K, d, d) projection stack P of its lines.
+def line_table(a: Observable, b: Observable) -> LineTable:
+    """The line table of the ordered pair (A, B), of one dimension.
 
     A_x is rank one when exactly one eigenvalue is at least the zero band
     that A's effects share (the rule of ``Effect.factor``), counted for all
     x at once over ``spectra``; v is that eigenvalue's eigenvector, the last
     column, read from the eigenvector stack. The forms are one Gram GEMM
     (``certified_forms``) when all of B and A's lines are certified, else
-    one real GEMM of B's stack against P's float view (``linalg.frobenius``).
+    one real GEMM of B's stack against the lines' (K, d, d) projection stack
+    (``linalg.frobenius``), made for that product and dropped.
     """
     require_same_dim(a, b)
     index = ((a.spectra() >= a.effects[0]._zero).sum(axis=-1) == 1).nonzero()[0]
     vectors = a._spectral.eigenvectors[index, :, -1].T
-    projections = linalg.projections(vectors)
-    certified = b._certified.all() and a._certified[index].all()
-    forms = certified_forms(b, vectors) if certified else linalg.frobenius(b.stack(), projections)
-    return LineTable(index, vectors, forms), projections
+    if b._certified.all() and a._certified[index].all():
+        forms = certified_forms(b, vectors)
+    else:
+        forms = linalg.frobenius(b.stack(), linalg.projections(vectors))
+    return LineTable(index, vectors, forms)
 
 
 def certified_forms(b: Observable, vectors: np.ndarray) -> np.ndarray:
@@ -215,49 +208,97 @@ def certified_forms(b: Observable, vectors: np.ndarray) -> np.ndarray:
     return b.spectra()[:, -1, None] * (gram.real ** 2 + gram.imag ** 2)
 
 
+#: Rows of (B|A) per block on a pass whose effects are all rank one (``products``). At d = 32
+#: a block of P is then at most 128 KiB, glibc's default mmap threshold: 4 and 16 rows ran slower.
+_BLOCK_ROWS = 8
+
+
 class Products(NamedTuple):
     """Every sequential product A_x o B_y of a pair, reduced as it is made. A lifted or certified
     rank-one A_x fills its row of ``deviations``; an uncertified rank-one A_x only the y of its lowest
     and highest coefficient, the rest 0: the deviation is convex in it, so each row's max is exact."""
 
     deviations: np.ndarray   # (m, n): max_abs(A_x o B_y - A_x / n), as above
-    conditioned: np.ndarray  # (n, d, d): (B|A)_y as summed; Hermitian within rounding; not validated
-    lines: LineTable         # the rank-one A_x against B, without their projections
+    conditioned: np.ndarray  # (n,): max_abs((B|A)_y - I / n), of (B|A) as summed, not validated
+    lines: LineTable         # the rank-one A_x against B
 
 
 def products(a: Observable, b: Observable) -> Products:
     """Make every A_x o B_y once and reduce it as it is made: into condition
-    (1)'s deviation table (``Products``) and into the running sum (B|A)_y, kept as summed.
+    (1)'s deviation table and condition (2)'s deviations of (B|A)_y (``Products``).
 
     The one place that chooses how a product is made. For a rank-one
     effect A_x = w_x v v* (``line_table``), A_x o B_y = c_xy P_x with
     P_x = v v* and c_xy = w_x Re <B_y, P_x>, one real number per product
-    from the table's forms. Their part of (B|A) is c @ P, one real
-    (n, K) x (K, 2d^2) GEMM over P's float view. A certified A_x, w_x P_x within
-    ``CERTIFICATE_TOL``, deviates from A_x / n by |c_xy - w_x / n| max_i |v_i|^2;
-    for an uncertified one the deviation is convex in c_xy, so its max over y
-    sits at the lowest or the highest c_xy, evaluated on P. Every other effect lifts
-    R B_y R, R = sqrt(A_x), for all y in two GEMMs over B's stack viewed as (n d, d) rows:
-    rows @ R gives every B_y R, whose conjugate transpose is R B_y (R and B_y are Hermitian
-    in every bit), and a second GEMM gives (R B_y) R, into three (n, d, d) buffers made once
-    per pass. The bits equal those of n separate d x d products only when d is a multiple
-    of 4 (seen with OpenBLAS for d = 2-71); otherwise entries move by about 1e-16.
+    from the table's forms. A certified A_x, w_x P_x within ``CERTIFICATE_TOL``,
+    deviates from A_x / n by |c_xy - w_x / n| max_i |v_i|^2; for an uncertified
+    one the deviation is convex in c_xy, so its max over y sits at the lowest or
+    the highest c_xy, evaluated on its own P_x only. Every other effect is lifted
+    (``_summed``).
+
+    When every A_x is rank one, (B|A)_y = sum_x c_xy P_x is never built whole.
+    For each block of _BLOCK_ROWS rows i0:i1, one real GEMM of c against P, made
+    for those rows and the columns j >= i0 only, gives that upper trapezoid of
+    every (B|A)_y: the sum is Hermitian within rounding, and |conj z| = |z|. The
+    pass holds O((m + n) _BLOCK_ROWS d) numbers beyond its table. Otherwise
+    (B|A) is summed whole (``_summed``) and its deviations are read from it.
+    OpenBLAS rounds a GEMM's column by the GEMM's width, so the two ways can
+    differ by a few ulps (seen at d = 25 and 27).
     """
     scale = 1.0 / len(b)
     devs = np.zeros((len(a), len(b)))
-    lines, projections = line_table(a, b)
+    lines = line_table(a, b)
     ones = lines.index
     coeffs = lines.forms * a.spectra()[ones, -1]
-    total = (coeffs @ linalg.real_rows(projections)).view(complex).reshape(len(b), a.dim, a.dim)
     if len(ones):  # w_x |f_xy - 1/n| max|v|^2, set to 0 on uncertified lines but at lo/hi
         peaks = np.max(np.abs(lines.vectors), axis=0) ** 2 * a._certified[ones]
         devs[ones] = (np.abs(lines.forms - scale) * a.spectra()[ones, -1] * peaks).T
         cols = np.flatnonzero(~a._certified[ones])
         if len(cols):
-            xs, subset, targets = ones[cols], projections[cols], scale * a.stack()[ones[cols]]
+            xs, targets = ones[cols], scale * a.stack()[ones[cols]]
+            subset = linalg.projections(lines.vectors[:, cols])
             for ys in (coeffs[:, cols].argmin(axis=0), coeffs[:, cols].argmax(axis=0)):
                 devs[xs, ys] = linalg.max_abs_each(coeffs[ys, cols, None, None] * subset - targets)
-    lifted = np.bincount(ones, minlength=len(a)) == 0
+    if len(ones) < len(a):
+        return Products(devs, _uniform_deviations(_summed(a, b, lines, coeffs, devs), scale), lines)
+    rows = lines.vectors.T
+    conj = rows.conj()
+    gaps = np.zeros(len(b))
+    for i0 in range(0, a.dim, _BLOCK_ROWS):
+        block = np.multiply(rows[:, i0:i0 + _BLOCK_ROWS, None], conj[:, None, i0:], order="C")
+        summed = (coeffs @ linalg.real_rows(block)).view(complex).reshape(len(b), *block.shape[1:])
+        np.maximum(gaps, _uniform_deviations(summed, scale), out=gaps)
+    return Products(devs, gaps, lines)
+
+
+def _uniform_deviations(summed: np.ndarray, scale: float) -> np.ndarray:
+    """max_abs(S_y - scale I) (n,) for a block S (n, h, w) of the rows i0:i0 + h and the
+    columns i0: of n matrices, the whole matrices when h = w. Subtracts in place."""
+    summed.reshape(len(summed), -1)[:, ::summed.shape[-1] + 1] -= scale
+    return linalg.max_abs_each(summed)
+
+
+def _summed(a: Observable, b: Observable, lines: LineTable, coeffs: np.ndarray,
+            devs: np.ndarray) -> np.ndarray:
+    """(B|A)_y = sum_x A_x o B_y as an (n, d, d) array, summed, not validated. ``lines`` is
+    ``line_table(a, b)`` and ``coeffs`` its c_xy (n, K); each lifted row of ``devs`` (m, n)
+    gets max_abs(A_x o B_y - A_x / n).
+
+    The rank-one effects' part is c @ P, one real (n, K) x (K, 2d^2) GEMM over the
+    float view of their (K, d, d) projection stack. Every other effect lifts
+    R B_y R, R = sqrt(A_x), for all y in two GEMMs over B's stack viewed as (n d, d) rows:
+    rows @ R gives every B_y R, whose conjugate transpose is R B_y (R and B_y are Hermitian
+    in every bit), and a second GEMM gives (R B_y) R, into three (n, d, d) buffers made once
+    per pass. By the same GEMM rounding, these differ from n separate d x d products
+    by about 1e-16 at some d (with OpenBLAS, those not a multiple of 4).
+    """
+    scale = 1.0 / len(b)
+    shape = (len(b), a.dim, a.dim)
+    if len(lines.index):
+        total = (coeffs @ linalg.real_rows(linalg.projections(lines.vectors))).view(complex).reshape(shape)
+    else:  # the bits of an empty GEMM, without its cost on small lifted passes
+        total = np.zeros(shape, dtype=complex)
+    lifted = np.bincount(lines.index, minlength=len(a)) == 0
     if lifted.any():
         rows = b.stack().reshape(len(b) * a.dim, a.dim)
         lifts, half = np.empty_like(total), np.empty_like(total)
@@ -271,13 +312,16 @@ def products(a: Observable, b: Observable) -> Products:
             np.subtract(lifts, scale * a.effects[x].matrix, out=half)
             np.max(np.abs(half, out=mag), axis=(-2, -1), out=devs[x])
             total += lifts
-    return Products(devs, total, lines)
+    return total
 
 
 def conditioned(b: Observable, a: Observable, tol: float | None = None) -> Observable:
-    """The observable (B|A), validated once."""
+    """The observable (B|A), summed as by a product pass with a lifted row (``_summed``),
+    validated once."""
     base, _ = linalg.tols(a.dim, tol)
-    return Observable(b.outcomes, products(a, b).conditioned, 10 * base)
+    lines = line_table(a, b)
+    coeffs = lines.forms * a.spectra()[lines.index, -1]
+    return Observable(b.outcomes, _summed(a, b, lines, coeffs, np.zeros((len(a), len(b)))), 10 * base)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import helpers
-from mubkit import linalg
+from mubkit import linalg, observables
 from mubkit.analysis import (
     PairReport,
     Verdict,
@@ -374,33 +374,35 @@ class TestClassifyPair:
 
     @staticmethod
     def count_calls(monkeypatch, a, b):
-        """classify_pair(a, b) and its ``linalg.projections`` and ``linalg.frobenius`` calls."""
-        calls = {"projections": 0, "frobenius": 0}
-        for name in calls:
-            def counted(*args, _name=name, _fn=getattr(linalg, name)):
+        """classify_pair(a, b) and its ``line_table``, ``linalg.projections`` and ``linalg.frobenius`` calls."""
+        calls = {"line_table": 0, "projections": 0, "frobenius": 0}
+        for module, name in ((observables, "line_table"), (linalg, "projections"), (linalg, "frobenius")):
+            def counted(*args, _name=name, _fn=getattr(module, name)):
                 calls[_name] += 1
                 return _fn(*args)
-            monkeypatch.setattr(linalg, name, counted)
+            monkeypatch.setattr(module, name, counted)
         return classify_pair(a, b), calls
 
     def test_atomic_pair_builds_each_line_table_once(self, monkeypatch):
-        # one projection stack per product pass, read again by value
-        # complementarity; every effect is certified, so the trace table
-        # and both passes' forms are Gram GEMMs, not frobenius
+        # one line table per product pass, read again by value complementarity;
+        # every effect is certified, so the trace table and both passes' forms
+        # are Gram GEMMs, not frobenius, and condition (2) runs in row blocks:
+        # no projection stack is made
         a, b = helpers.mu_atomic_pair(8, 8)
         assert a._certified.all() and b._certified.all()
         rep, calls = self.count_calls(monkeypatch, a, b)
         assert rep.value_complementary.holds and not rep.value_complementary.vacuous
-        assert calls == {"projections": 2, "frobenius": 0}
+        assert calls == {"line_table": 2, "projections": 0, "frobenius": 0}
 
     def test_an_uncertified_effect_keeps_the_frobenius_forms(self, monkeypatch):
         # the snap-band effect is rank one only by the zero band: the trace
-        # table and both passes' forms are frobenius products of the stacks
+        # table and both passes' forms are frobenius products of the stacks,
+        # and its lo/hi condition (1) products read its own projection only
         a, b = build_pair("snap-band-vs-momentum", 8, 8)
         assert not a._certified.all() and b._certified.all()
         rep, calls = self.count_calls(monkeypatch, a, b)
         assert rep.mu.holds and rep.condition1.holds
-        assert calls == {"projections": 2, "frobenius": 3}
+        assert calls == {"line_table": 2, "projections": 3, "frobenius": 3}
 
 
 class TestUserTolerance:

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -6,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import hermitian_formula, mat_approx_eq
-from mubkit import linalg
+from helpers import hermitian_formula, mat_approx_eq, mu_atomic_pair, random_atomic_pair
+from mubkit import analysis, linalg, observables
 from mubkit.effects import Effect, State, seq_matrix, seq_product
 from mubkit.errors import (
     DimMismatch,
@@ -30,11 +31,10 @@ from mubkit.observables import (
     iter_partition_maps,
     iter_set_partitions,
     obs_seq_product,
-    observable_new,
     products,
 )
 from mubkit.oracle import random_observable, random_state, random_unitary
-from test_differential import KINDS, build_pair, partial_certainty, snap_band_basis
+from test_differential import KINDS, build_pair, halved_bases, partial_certainty, snap_band_basis
 
 COND_HALF_0 = np.array([[2, 1 + 1j, 0, 0],
                         [1 - 1j, 2, 0, 0],
@@ -93,12 +93,8 @@ class TestValidation:
             Observable(["x", "y"], loose)
         assert Observable(["x", "y"], loose, tol=1e-6).dim == 2
 
-    def test_declared_dim_checked(self):
-        with pytest.raises(DimMismatch):
-            observable_new(3, ["0", "1"], [np.eye(2, dtype=complex) / 2] * 2)
-
     def test_labels_coerced_to_str(self):
-        obs = observable_new(2, [0, 1], [np.eye(2, dtype=complex) / 2] * 2)
+        obs = Observable([0, 1], [np.eye(2, dtype=complex) / 2] * 2)
         assert obs.outcomes == ("0", "1")
 
     def test_effect_lookup(self):
@@ -478,7 +474,9 @@ class TestProducts:
         got = products(a, b)
         lifts = np.array([[seq_matrix(ax, by) for by in b.effects] for ax in a.effects])
         devs = np.abs(lifts - a.stack()[:, None] / n).max(axis=(-2, -1))
-        assert np.abs(got.conditioned - lifts.sum(axis=0)).max() <= 1e-15
+        summed = lifts.sum(axis=0)
+        assert np.abs(got.conditioned - linalg.max_abs_each(summed - np.eye(dim) / n)).max() <= 1e-15
+        assert np.abs(conditioned(b, a).stack() - hermitian_formula(summed)).max() <= 1e-15
         assert np.abs(got.deviations.max(axis=1) - devs.max(axis=1)).max() <= 1e-15
         # a lifted or certified rank-one row holds every y; an uncertified
         # rank-one row its lowest- and highest-coefficient y, else 0
@@ -532,11 +530,69 @@ class TestHermitianStacks:
         for derived in (other, coarse_grain(obs, pm), conditioned(obs, other), conditioned(other, obs),
                         obs_seq_product(obs, other), obs_seq_product(other, obs)):
             assert exactly_hermitian(derived.stack())
-        # (B|A) leaves ``products`` as summed, Hermitian within rounding; validation symmetrizes it
+        # (B|A) is summed as computed, Hermitian within rounding; validation symmetrizes it
         for first, second in ((obs, other), (other, obs)):
-            summed = products(first, second).conditioned
+            lines = observables.line_table(first, second)
+            coeffs = lines.forms * first.spectra()[lines.index, -1]
+            summed = observables._summed(first, second, lines, coeffs, np.zeros((len(first), len(second))))
             assert np.abs(summed - summed.conj().swapaxes(-1, -2)).max() <= 1e-15
             assert conditioned(second, first).stack().tobytes() == hermitian_formula(summed).tobytes()
+            gaps = linalg.max_abs_each(summed - np.eye(dim) / len(second))
+            assert np.abs(products(first, second).conditioned - gaps).max() <= 1e-15
+
+
+ROW_BLOCK_DIMS = [1, 2, 3, 5, 8, 17, 18, 27, 32, 33, 64]  # around the block height and multiples of 4
+
+
+def rank_one_pairs(dim, rng):
+    """Named pairs whose effects are all rank one, so both of their product passes run in row blocks:
+    Haar position/momentum, two Haar bases, 0.5 v v* over two bases against a basis in both orders,
+    and a snap-band basis, whose first effect is rank one only by the zero band, against momentum."""
+    yield ("position-momentum", *mu_atomic_pair(dim, rng))
+    yield ("two-bases", *random_atomic_pair(dim, rng))
+    halved, basis = halved_bases(dim, rng), random_observable(dim, dim, "atomic", rng)
+    yield "halved-basis", halved, basis
+    yield "basis-halved", basis, halved
+    if dim > 1:
+        yield ("snap-band", *build_pair("snap-band-vs-momentum", dim, rng))
+
+
+class TestRowBlocks:
+    """A pass whose effects are all rank one gives condition (2)'s deviations a block
+    of rows at a time, never summing (B|A) whole."""
+
+    @pytest.mark.parametrize("dim", ROW_BLOCK_DIMS)
+    def test_match_the_dense_sum(self, dim):
+        rng = np.random.default_rng(dim)
+        for name, a, b in rank_one_pairs(dim, rng):
+            passes = products(a, b), products(b, a)
+            dense = []
+            for first, second, made in ((a, b, passes[0]), (b, a, passes[1])):
+                assert len(made.lines.index) == len(first), name
+                coeffs = made.lines.forms * first.spectra()[made.lines.index, -1]
+                summed = np.tensordot(coeffs, linalg.projections(made.lines.vectors), axes=1)
+                dense.append(made._replace(conditioned=linalg.max_abs_each(summed - np.eye(dim) / len(second))))
+                assert np.abs(made.conditioned - dense[-1].conditioned).max() <= 1e-15, name
+            mat_tol = linalg.default_tol(dim)
+            got, want = (analysis._product_verdicts(a, b, ps, mat_tol)[1] for ps in (passes, dense))
+            assert got.holds == want.holds and abs(got.max_deviation - want.max_deviation) <= 1e-15, name
+            labels = [None if v.witness is None else (v.witness["side"], v.witness["outcome"]) for v in (got, want)]
+            assert labels[0] == labels[1], name
+            assert analysis.check_condition2(a, b) == got
+            if name == "snap-band":  # an uncertified rank-one row on the row-block path
+                assert not a._certified[0] and a._certified[1:].all()
+
+    @pytest.mark.parametrize("check", [products, analysis.classify_pair])
+    def test_hold_no_stack_of_d_matrices(self, check):
+        dim = 64
+        a, b = mu_atomic_pair(dim, 5)
+        tracemalloc.start()
+        try:
+            check(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < dim ** 3 * 16  # one (d, d, d) complex stack, 4 MiB
 
 
 BELL = {0: 1, 1: 1, 2: 2, 3: 5, 4: 15, 5: 52}
