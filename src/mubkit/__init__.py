@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .effects import (  # noqa: E402
     Effect,
     State,
-    commutes,
     occurrence_probability,
     seq_product,
 )
@@ -24,9 +23,7 @@ from .observables import (  # noqa: E402
     obs_seq_product,
 )
 from .fourier import (  # noqa: E402
-    FourierBasisPair,
     example_partitions,
-    fourier_basis_pair,
     fourier_matrix,
     momentum_observable,
     position_observable,
@@ -57,13 +54,12 @@ from .oracle import (  # noqa: E402
 
 __all__ = [
     "__version__",
-    "Effect", "State", "commutes", "occurrence_probability", "seq_product",
+    "Effect", "State", "occurrence_probability", "seq_product",
     "CoexistenceWitness", "Distribution", "Observable", "PartitionMap",
     "coarse_grain", "coexistence_witness", "conditioned", "conjugate",
     "distribution", "iter_partition_maps", "iter_set_partitions",
     "obs_seq_product",
-    "FourierBasisPair", "example_partitions", "fourier_basis_pair",
-    "fourier_matrix", "momentum_observable", "position_observable",
+    "example_partitions", "fourier_matrix", "momentum_observable", "position_observable",
     "PairReport", "PartitionCriterion", "Verdict",
     "check_condition1", "check_condition2", "check_generalized_mu",
     "check_mu", "check_partition_criterion", "check_trivial",

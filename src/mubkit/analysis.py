@@ -27,22 +27,32 @@ The (m, n, d, d) array of all products is never built. A product pass whose
 effects are all rank one holds its line table and condition (2)'s sums 8 rows
 at a time, O((m + n) d) numbers per row: no (m, d, d) stack, unless a line is
 uncertified and its forms read the lines' projections. Any other pass holds
-stacks of at most m or n matrices, O((m + n) d^2).
+stacks of at most m or n matrices, O((m + n) d^2); one that lifts its effects
+through their factors holds (B|A) and one block of at most
+``linalg._CHUNK_ENTRIES`` lifts' entries beyond its factors and compressions.
 
 * Conditions (1) and (2) read one product pass per ordered pair,
   ``observables.products``: it makes each A_x o B_y once, as one number per
   product for a rank-one A_x (``observables.line_table``), so an atomic pair
-  costs O(d^4), not O(d^5), and as sqrt(A_x) B_y sqrt(A_x) for the others.
+  costs O(d^4), not O(d^5); as U_x (s C_xy s) U_x* from the k x k
+  compression C_xy = (U_x* B_y) U_x onto the factor of a low-rank A_x
+  (``observables.compressions``), O(d^2 k) a product; and as sqrt(A_x) B_y
+  sqrt(A_x) for the others.
 * Value complementarity on a certainty subspace that is a rank-one
   effect's own line is |Re <B_y, P_x> - 1/n| max|v|^2, a column of that
-  line table; other certainty subspaces are compressed to k x k.
+  line table; other certainty subspaces are compressed to k x k: where the
+  subspace is a factored effect's kept range, the pass's own C_xy, read a
+  block of outcomes at a time, else one outcome at a time.
 * The trace table behind ``check_mu`` and ``check_generalized_mu``, and the
   forms, are one d x d Gram GEMM of top eigenvectors where every effect
   they read is certified, else one real GEMM of the flattened stacks
   (``linalg.frobenius``).
 
 ``classify_pair`` builds the trace table and both product passes once and
-reads every verdict from them, value complementarity included.
+reads every verdict from them, value complementarity included; called alone,
+``check_value_complementary`` makes the same line tables and compressions
+(``observables.line_table``, ``observables.compressions``), so it gives the
+same verdict bit for bit.
 
 Products are plain ``@``. Splitting the trace-table product into calls
 small enough for OpenBLAS to run on one thread was measured and gave no
@@ -58,7 +68,18 @@ import numpy as np
 from . import linalg
 from .effects import require_same_dim
 from .errors import InternalInconsistency, NotAtomic
-from .observables import LineTable, Observable, PartitionMap, Products, certified_forms, line_table, products
+from .observables import (
+    Compressions,
+    LineTable,
+    Observable,
+    PartitionMap,
+    Products,
+    certified_forms,
+    compressions,
+    line_table,
+    product_blocks,
+    products,
+)
 
 #: Deviations within this many units in the last place of a verdict's maximum tie for its witness.
 TIE_ULPS = 64
@@ -153,7 +174,7 @@ def _product_verdicts(a: Observable, b: Observable, passes: tuple[Products, Prod
                       mat_tol: float) -> tuple[Verdict, Verdict]:
     """Conditions (1) and (2), from the product passes of (A, B) and (B, A). Condition (1)'s
     deviations run A∘B by (x, y), then B∘A by (y, x); condition (2)'s (B|A) by y, then (A|B) by x."""
-    (dev_ab, given_a, _), (dev_ba, given_b, _) = passes
+    (dev_ab, given_a, *_), (dev_ba, given_b, *_) = passes
     m, n = len(a), len(b)
 
     def witness1(k, dev):
@@ -182,14 +203,17 @@ def check_condition2(a: Observable, b: Observable, tol: float | None = None) -> 
 
 
 def _certainty_deviations(first: Observable, second: Observable, units: np.ndarray,
-                          table: LineTable) -> np.ndarray:
+                          table: LineTable, comps: tuple[Compressions, ...]) -> np.ndarray:
     """max_abs(P S_y P - P / n) as an (m, n) table, S_y the n effects of
     ``second`` and P = U U* for the certainty subspace of A_x (the eigenvalue-1
     eigenspace, marked in ``units``, basis U). A row with none holds 0, P = 0.
     On A_x's own line (one unit eigenvalue, the top one, and A_x rank one) the
     matrix is (v* S_y v - 1/n) v v*, of entrywise max |Re <S_y, v v*> - 1/n|
     max_i |v_i|^2: a column of ``table``, the line table of (first, second).
-    Every other subspace compresses S_y to k x k and lifts back."""
+    Every other subspace compresses S_y to k x k, (U* S_y) U, and lifts back:
+    read from ``comps`` (``observables.compressions`` of (first, second)), a
+    block of outcomes per call, where its unit eigenspace is exactly the kept
+    columns U_x of a factored A_x, else made here, one outcome at a time."""
     target = 1.0 / len(second)
     devs = np.zeros((len(first), len(second)))
     counts = units.sum(axis=-1)
@@ -198,6 +222,14 @@ def _certainty_deviations(first: Observable, second: Observable, units: np.ndarr
         scale = np.max(np.abs(table.vectors[:, own]), axis=0) ** 2
         devs[table.index[own]] = (np.abs(table.forms[:, own] - target) * scale).T
         counts[table.index[own]] = 0  # their lines are done
+    for index, u, adj, matrices in comps:  # the rows whose unit eigenspace is their factor's U_x
+        shared = (units[index] == (first.spectra()[index] >= first.effects[0]._zero)).all(axis=-1)
+        if not shared.all():
+            index, u, adj, matrices = index[shared], u[shared], adj[shared], matrices[shared]
+        core = matrices - target * np.eye(u.shape[-1])
+        for xs, ys in product_blocks(len(index), len(second), first.dim):
+            devs[index[xs], ys] = linalg.max_abs_each(u[xs, None] @ core[xs, ys] @ adj[xs, None])
+        counts[index] = 0
     for x in counts.nonzero()[0]:
         u = first.effects[x].spectral.eigenvectors[:, units[x]]  # unit_eigenspace(eig_tol)
         core = u.conj().T @ second.stack() @ u - target * np.eye(u.shape[1])
@@ -206,9 +238,10 @@ def _certainty_deviations(first: Observable, second: Observable, units: np.ndarr
 
 
 def _complementarity_verdict(a: Observable, b: Observable, tol: float | None,
-                             tables: tuple[LineTable, LineTable]) -> Verdict:
-    """Value complementarity, reading the line tables of (A, B) and (B, A). Its
-    deviations run side A, then side B: each x in order, over the other side's y."""
+                             tables: tuple[LineTable, LineTable],
+                             comps: tuple[tuple[Compressions, ...], tuple[Compressions, ...]]) -> Verdict:
+    """Value complementarity, reading the line tables and compressions of (A, B) and (B, A).
+    Its deviations run side A, then side B: each x in order, over the other side's y."""
     mat_tol, eig_tol = linalg.tols(a.dim, tol)
     sides = (("A", a, b), ("B", b, a))
     units = [np.abs(obs.spectra() - 1.0) <= eig_tol for obs in (a, b)]
@@ -226,8 +259,8 @@ def _complementarity_verdict(a: Observable, b: Observable, tol: float | None,
         return {"side": side, "certain_outcome": first.outcomes[x], "other_outcome": second.outcomes[y],
                 "state": tuple((float(z.real), float(z.imag)) for z in basis @ v[:, j]),
                 "observed": float(w[j]), "target": target}
-    devs = [_certainty_deviations(first, second, u, table)
-            for (_, first, second), u, table in zip(sides, units, tables)]
+    devs = [_certainty_deviations(first, second, u, table, made)
+            for (_, first, second), u, table, made in zip(sides, units, tables, comps)]
     return _verdict(np.concatenate(devs, axis=None), mat_tol, witness)
 
 
@@ -248,7 +281,8 @@ def check_value_complementary(a: Observable, b: Observable,
     tied up to rounding, the lowest), together with the probability it observes.
     """
     require_same_dim(a, b)
-    return _complementarity_verdict(a, b, tol, (line_table(a, b), line_table(b, a)))
+    return _complementarity_verdict(a, b, tol, (line_table(a, b), line_table(b, a)),
+                                    (compressions(a, b), compressions(b, a)))
 
 
 def forced_alpha(a: Observable, b: Observable) -> float:
@@ -310,7 +344,8 @@ def classify_pair(a: Observable, b: Observable, tol: float | None = None) -> Pai
     both_atomic = a.is_atomic(eig_tol) and b.is_atomic(eig_tol)
     mu = _trace_verdict(a, b, table, 1.0 / a.dim, mat_tol) if both_atomic else None
     passes = products(a, b), products(b, a)
-    vc = _complementarity_verdict(a, b, tol, (passes[0].lines, passes[1].lines))
+    vc = _complementarity_verdict(a, b, tol, (passes[0].lines, passes[1].lines),
+                                  (passes[0].compressions, passes[1].compressions))
     c1, c2 = _product_verdicts(a, b, passes, mat_tol)
     gmu = _trace_verdict(a, b, table, forced_alpha(a, b), mat_tol)
 

@@ -94,11 +94,6 @@ class Effect:
         _, tol = linalg.tols(self.dim, tol)
         return atomic_spectra(self._spectral.eigenvalues, tol)
 
-    def is_invertible(self, tol: float | None = None) -> bool:
-        """True when every eigenvalue is at least ``tol``."""
-        _, tol = linalg.tols(self.dim, tol)
-        return bool(self._spectral.eigenvalues[0] >= tol)
-
     def unit_eigenspace(self, tol: float | None = None) -> np.ndarray:
         """Orthonormal basis (d x k, possibly k = 0) of the eigenvalue-1 eigenspace."""
         _, tol = linalg.tols(self.dim, tol)
@@ -168,13 +163,6 @@ def seq_product(a: Effect, b: Effect, tol: float | None = None) -> Effect:
     Not commutative and not associative in general.
     """
     return Effect(seq_matrix(a, b), tol)
-
-
-def commutes(a: Effect, b: Effect, tol: float | None = None) -> bool:
-    """Whether AB = BA within ``tol`` (entrywise)."""
-    require_same_dim(a, b)
-    mat_tol, _ = linalg.tols(a.dim, tol)
-    return linalg.max_abs(a.matrix @ b.matrix - b.matrix @ a.matrix) <= mat_tol
 
 
 class State:

@@ -1,8 +1,6 @@
 """Finite Fourier transform and the position/momentum observable pair."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import linalg
@@ -38,21 +36,6 @@ def momentum_observable(dim: int) -> Observable:
     """Atomic observable of the Fourier basis: P_j = |F e_j><F e_j|."""
     f = fourier_matrix(dim)  # validates dim before the labels use it
     return Observable([str(j) for j in range(dim)], linalg.projections(f))
-
-
-@dataclass(frozen=True)
-class FourierBasisPair:
-    """The transform together with its position and momentum observables."""
-
-    dim: int
-    matrix: np.ndarray
-    position: Observable
-    momentum: Observable
-
-
-def fourier_basis_pair(dim: int) -> FourierBasisPair:
-    return FourierBasisPair(dim, fourier_matrix(dim),
-                            position_observable(dim), momentum_observable(dim))
 
 
 def example_partitions(dim: int = 4) -> tuple[Observable, Observable, Observable]:

@@ -38,8 +38,9 @@ EIGENVALUE_TOL = 1e-9
 #: rank one is not certified.
 CERTIFICATE_TOL = 1e-13
 
-#: ``hermitian_eigs`` works through its stack in chunks of at most this
-#: many entries (256 KiB of complex128), so that its temporaries stay small.
+#: ``hermitian_eigs`` works through its stack, and a factored product pass through
+#: its products (``observables.product_blocks``), in chunks of at most this many
+#: entries (256 KiB of complex128), so that their temporaries stay small.
 _CHUNK_ENTRIES = 1 << 14
 
 

@@ -13,6 +13,11 @@ Every observable is one validated (m, d, d) stack, and the stacked decomposition
 certified mask its validation produced (``effects.effects_of``): each effect is a view
 of the stack and decomposition. An ``Effect`` given to ``Observable`` counts as its
 matrix and is validated again, under the observable's tolerance.
+
+``products`` makes every sequential product of a pair by the paper's taxonomy: a
+rank-one effect as a line (``line_table``), a low-rank one, such as a block of a
+coarse-grained position or momentum, through its factor (``compressions``), and
+any other, such as a full-rank unsharp effect, as the dense lift sqrt(A) B sqrt(A).
 """
 from __future__ import annotations
 
@@ -49,7 +54,7 @@ PRODUCT_SEP = "⊗"  # the symbol joining outcome labels of a product observable
 class Observable:
     """Effects A_x indexed by string outcome labels, with sum(A_x) = I."""
 
-    __slots__ = ("outcomes", "effects", "dim", "_stack", "_spectral", "_certified")
+    __slots__ = ("outcomes", "effects", "dim", "_stack", "_spectral", "_certified", "_ranks")
 
     def __init__(self, outcomes: Sequence[str], effects, tol: float | None = None):
         labels = tuple(str(x) for x in outcomes)
@@ -69,6 +74,7 @@ class Observable:
         self.outcomes = labels
         self.effects = tuple(validated)
         self.dim = dim
+        self._ranks = None
 
     def __len__(self) -> int:
         return len(self.outcomes)
@@ -91,6 +97,13 @@ class Observable:
         """Every effect's eigenvalues, ascending, as one read-only (m, d)
         array: the stacked decomposition's, whose views they are."""
         return self._spectral.eigenvalues
+
+    def ranks(self) -> np.ndarray:
+        """Every effect's rank r_x as its square root sees it (``Effect.factor``), as one read-only
+        (m,) array, counted once: its eigenvalues at least the zero band, the top r_x of ``spectra``."""
+        if self._ranks is None:
+            self._ranks = linalg.freeze((self.spectra() >= self.effects[0]._zero).sum(axis=-1))
+        return self._ranks
 
     def is_sharp(self, tol: float | None = None) -> bool:
         """Every effect is sharp (``Effect.is_sharp``), read from ``spectra``."""
@@ -192,13 +205,64 @@ def line_table(a: Observable, b: Observable) -> LineTable:
     (``linalg.frobenius``), made for that product and dropped.
     """
     require_same_dim(a, b)
-    index = ((a.spectra() >= a.effects[0]._zero).sum(axis=-1) == 1).nonzero()[0]
+    index = (a.ranks() == 1).nonzero()[0]
     vectors = a._spectral.eigenvectors[index, :, -1].T
     if b._certified.all() and a._certified[index].all():
         forms = certified_forms(b, vectors)
     else:
         forms = linalg.frobenius(b.stack(), linalg.projections(vectors))
     return LineTable(index, vectors, forms)
+
+
+class Compressions(NamedTuple):
+    """B's effects compressed onto the factors of A's factored effects of one rank k."""
+
+    index: np.ndarray     # (K,): the x whose A_x is lifted through its factor, of rank k, ascending
+    vectors: np.ndarray   # (K, d, k): U_x, A_x's top k eigenvectors, the columns of its factor
+    adjoints: np.ndarray  # (K, k, d): U_x*
+    matrices: np.ndarray  # (K, n, k, k): C_xy = (U_x* B_y) U_x
+
+
+def compressions(a: Observable, b: Observable) -> tuple[Compressions, ...]:
+    """C_xy = (U_x* B_y) U_x for every A_x that ``products`` lifts through its factor: one
+    ``Compressions`` per rank k, ascending.
+
+    A_x is factored when its rank r (``Observable.ranks``) is neither 0 nor 1 (a line) and
+    r (d + r) < d^2, so that its lifts cost fewer flops than R B_y R; and, while one outcome's
+    n lifts fit in a block (n d^2 < ``linalg._CHUNK_ENTRIES``), only when another A_x has its
+    rank: there numpy calls, not flops, set the cost, and a block of one makes more than its
+    dense lift. Each numpy call makes a block of products of one rank (``product_blocks``):
+    per (x, y) the GEMMs U_x* @ B_y and then @ U_x of one outcome's shapes, so these are the
+    bits of one outcome's products. (OpenBLAS rounds an entry by the GEMM's width, so a block
+    padded to a larger rank would move them.)
+    """
+    require_same_dim(a, b)
+    d = a.dim
+    groups: dict[int, list[int]] = {}
+    for x, r in enumerate(a.ranks().tolist()):
+        if 1 < r and r * (r + d) < d * d:
+            groups.setdefault(r, []).append(x)
+    out = []
+    for k, index in sorted(groups.items()):
+        if len(index) < 2 and len(b) * d * d < linalg._CHUNK_ENTRIES:
+            continue
+        vectors = a._spectral.eigenvectors[index, :, d - k:]
+        adjoints = vectors.conj().swapaxes(-1, -2)
+        matrices = np.empty((len(index), len(b), k, k), dtype=complex)
+        for xs, ys in product_blocks(len(index), len(b), d):
+            np.matmul(adjoints[xs, None] @ b.stack()[ys], vectors[xs, None], out=matrices[xs, ys])
+        out.append(Compressions(np.array(index), vectors, adjoints, matrices))
+    return tuple(out)
+
+
+def product_blocks(count: int, n: int, dim: int) -> Iterator[tuple[slice, slice]]:
+    """Slices (xs, ys) that tile a count x n table of d x d products in C order, each block of
+    at most ``linalg._CHUNK_ENTRIES`` entries of products (256 KiB), and of one product at least."""
+    per = max(1, linalg._CHUNK_ENTRIES // dim ** 2)
+    rows, cols = max(1, per // n), min(n, per)
+    for i in range(0, count, rows):
+        for j in range(0, n, cols):
+            yield slice(i, i + rows), slice(j, j + cols)
 
 
 def certified_forms(b: Observable, vectors: np.ndarray) -> np.ndarray:
@@ -221,6 +285,7 @@ class Products(NamedTuple):
     deviations: np.ndarray   # (m, n): max_abs(A_x o B_y - A_x / n), as above
     conditioned: np.ndarray  # (n,): max_abs((B|A)_y - I / n), of (B|A) as summed, not validated
     lines: LineTable         # the rank-one A_x against B
+    compressions: tuple[Compressions, ...]  # the factored A_x against B
 
 
 def products(a: Observable, b: Observable) -> Products:
@@ -234,7 +299,7 @@ def products(a: Observable, b: Observable) -> Products:
     deviates from A_x / n by |c_xy - w_x / n| max_i |v_i|^2; for an uncertified
     one the deviation is convex in c_xy, so its max over y sits at the lowest or
     the highest c_xy, evaluated on its own P_x only. Every other effect is lifted
-    (``_summed``).
+    (``_summed``), through its factor where that costs fewer flops (``compressions``).
 
     When every A_x is rank one, (B|A)_y = sum_x c_xy P_x is never built whole.
     For each block of _BLOCK_ROWS rows i0:i1, one real GEMM of c against P, made
@@ -260,7 +325,9 @@ def products(a: Observable, b: Observable) -> Products:
             for ys in (coeffs[:, cols].argmin(axis=0), coeffs[:, cols].argmax(axis=0)):
                 devs[xs, ys] = linalg.max_abs_each(coeffs[ys, cols, None, None] * subset - targets)
     if len(ones) < len(a):
-        return Products(devs, _uniform_deviations(_summed(a, b, lines, coeffs, devs), scale), lines)
+        comps = compressions(a, b)
+        summed = _summed(a, b, lines, coeffs, comps, devs)
+        return Products(devs, _uniform_deviations(summed, scale), lines, comps)
     rows = lines.vectors.T
     conj = rows.conj()
     gaps = np.zeros(len(b))
@@ -268,7 +335,7 @@ def products(a: Observable, b: Observable) -> Products:
         block = np.multiply(rows[:, i0:i0 + _BLOCK_ROWS, None], conj[:, None, i0:], order="C")
         summed = (coeffs @ linalg.real_rows(block)).view(complex).reshape(len(b), *block.shape[1:])
         np.maximum(gaps, _uniform_deviations(summed, scale), out=gaps)
-    return Products(devs, gaps, lines)
+    return Products(devs, gaps, lines, ())
 
 
 def _uniform_deviations(summed: np.ndarray, scale: float) -> np.ndarray:
@@ -279,18 +346,22 @@ def _uniform_deviations(summed: np.ndarray, scale: float) -> np.ndarray:
 
 
 def _summed(a: Observable, b: Observable, lines: LineTable, coeffs: np.ndarray,
-            devs: np.ndarray) -> np.ndarray:
+            comps: tuple[Compressions, ...], devs: np.ndarray) -> np.ndarray:
     """(B|A)_y = sum_x A_x o B_y as an (n, d, d) array, summed, not validated. ``lines`` is
-    ``line_table(a, b)`` and ``coeffs`` its c_xy (n, K); each lifted row of ``devs`` (m, n)
-    gets max_abs(A_x o B_y - A_x / n).
+    ``line_table(a, b)``, ``coeffs`` its c_xy (n, K) and ``comps`` is ``compressions(a, b)``;
+    each lifted row of ``devs`` (m, n) gets max_abs(A_x o B_y - A_x / n).
 
     The rank-one effects' part is c @ P, one real (n, K) x (K, 2d^2) GEMM over the
-    float view of their (K, d, d) projection stack. Every other effect lifts
-    R B_y R, R = sqrt(A_x), for all y in two GEMMs over B's stack viewed as (n d, d) rows:
-    rows @ R gives every B_y R, whose conjugate transpose is R B_y (R and B_y are Hermitian
-    in every bit), and a second GEMM gives (R B_y) R, into three (n, d, d) buffers made once
-    per pass. By the same GEMM rounding, these differ from n separate d x d products
-    by about 1e-16 at some d (with OpenBLAS, those not a multiple of 4).
+    float view of their (K, d, d) projection stack. A factored effect has
+    sqrt(A_x) = U_x diag(s) U_x*, s = sqrt(w_x) for its k kept eigenvalues w_x
+    (``Effect.factor``), so A_x o B_y = U_x (diag(s) C_xy diag(s)) U_x* with C_xy from
+    ``comps``: two GEMMs per (x, y), O(d^2 k) instead of O(d^3), a block of products per
+    call (``product_blocks``), so the pass holds one block of lifts beyond (B|A). Every
+    other effect lifts R B_y R, R = sqrt(A_x), for all y in two GEMMs over B's stack
+    viewed as (n d, d) rows: rows @ R gives every B_y R, whose conjugate transpose is R B_y
+    (R and B_y are Hermitian in every bit), and a second GEMM gives (R B_y) R, into three
+    (n, d, d) buffers made once per pass. By the same GEMM rounding, these differ from n
+    separate d x d products by about 1e-16 at some d (with OpenBLAS, those not a multiple of 4).
     """
     scale = 1.0 / len(b)
     shape = (len(b), a.dim, a.dim)
@@ -299,6 +370,15 @@ def _summed(a: Observable, b: Observable, lines: LineTable, coeffs: np.ndarray,
     else:  # the bits of an empty GEMM, without its cost on small lifted passes
         total = np.zeros(shape, dtype=complex)
     lifted = np.bincount(lines.index, minlength=len(a)) == 0
+    for index, vectors, adjoints, matrices in comps:
+        roots = np.sqrt(a.spectra()[index, a.dim - vectors.shape[-1]:])
+        scaled = matrices * (roots[:, None, :, None] * roots[:, None, None, :])  # diag(s) C_xy diag(s)
+        for xs, ys in product_blocks(len(index), len(b), a.dim):
+            lifts = vectors[xs, None] @ scaled[xs, ys] @ adjoints[xs, None]
+            total[ys] += lifts[0] if len(lifts) == 1 else lifts.sum(axis=0)  # no copy of a block of one
+            lifts -= scale * a.stack()[index[xs], None]
+            devs[index[xs], ys] = linalg.max_abs_each(lifts)
+        lifted[index] = False
     if lifted.any():
         rows = b.stack().reshape(len(b) * a.dim, a.dim)
         lifts, half = np.empty_like(total), np.empty_like(total)
@@ -321,7 +401,8 @@ def conditioned(b: Observable, a: Observable, tol: float | None = None) -> Obser
     base, _ = linalg.tols(a.dim, tol)
     lines = line_table(a, b)
     coeffs = lines.forms * a.spectra()[lines.index, -1]
-    return Observable(b.outcomes, _summed(a, b, lines, coeffs, np.zeros((len(a), len(b)))), 10 * base)
+    summed = _summed(a, b, lines, coeffs, compressions(a, b), np.zeros((len(a), len(b))))
+    return Observable(b.outcomes, summed, 10 * base)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import helpers
-from mubkit import linalg, observables
+from mubkit import analysis, linalg, observables, oracle
 from mubkit.analysis import (
     PairReport,
     Verdict,
@@ -317,11 +317,11 @@ class TestPredicateRelations:
         a = helpers.trivial_observable(5, 2)
         b = helpers.trivial_observable(5, 3)
         assert check_condition1(a, b).holds
-        assert all(e.is_invertible() for e in a.effects)
+        assert (a.spectra()[:, 0] >= linalg.EIGENVALUE_TOL).all()  # every effect invertible
         assert check_trivial(a) and check_trivial(b)
         # breaking triviality while keeping invertibility breaks condition (1)
         bumped = helpers.perturbed_trivial(5, 2, eps=1e-5, seed=71)
-        assert all(e.is_invertible() for e in bumped.effects)
+        assert (bumped.spectra()[:, 0] >= linalg.EIGENVALUE_TOL).all()
         assert not check_condition1(bumped, b).holds
 
 
@@ -446,6 +446,41 @@ class TestUserTolerance:
     @pytest.mark.parametrize("tol", [1e-6, 1, np.float64(1e-9), np.float32(1e-6)])
     def test_real_positive_tol_is_accepted(self, tol):
         assert check_condition1(position_observable(4), momentum_observable(4), tol=tol).holds
+
+    @staticmethod
+    def near_certain_pair(dim=8):
+        """diag(0.8, 0.8) and diag(0.8, 0.5) on their own columns of a Haar basis, and the
+        full-rank rest, against a sharp observable. The two rank-two effects are lifted through
+        their factors; at tol 0.3 the first's unit eigenspace is its factor's two columns, the
+        second's only one of them, so value complementarity compresses it itself."""
+        rng = np.random.default_rng(dim)
+        u = random_unitary(dim, rng)
+        first = np.diag(np.r_[0.8, 0.8, np.zeros(dim - 2)])
+        second = np.diag(np.r_[0.0, 0.0, 0.8, 0.5, np.zeros(dim - 4)])
+        effs = [u @ e @ u.conj().T for e in (first, second, np.eye(dim) - first - second)]
+        return Observable(["0", "1", "2"], effs), random_observable(dim, 2, "sharp", rng)
+
+    @pytest.mark.parametrize("tol", [None, 1e-6, 0.3])
+    @pytest.mark.parametrize("pair", ["sharp", "near-certain"])
+    def test_value_complementarity_shares_compressions_by_tol(self, pair, tol):
+        a, b = helpers.coarse_matched_pair(8, 2, 8) if pair == "sharp" else self.near_certain_pair()
+        assert [c.index.tolist() for c in observables.compressions(a, b)] == [[0, 1]]
+        if pair == "near-certain":
+            units, kept = np.abs(a.spectra() - 1) <= 0.3, a.spectra() >= linalg.EIGENVALUE_TOL
+            assert (units[0] == kept[0]).all() and units[1].any() and (units[1] != kept[1]).any()
+        got = classify_pair(a, b, tol).value_complementary
+        assert got == check_value_complementary(a, b, tol)
+        naive = oracle.naive_value_complementary(a, b, tol)
+        worst = max(naive.values(), default=0.0)
+        assert got.vacuous == (not naive)
+        assert got.holds == (worst <= linalg.tols(a.dim, tol)[0])
+        assert abs(got.max_deviation - worst) <= 1e-12
+        # every location of side A, where the shared and the compressed-here rows are
+        units = np.abs(a.spectra() - 1) <= linalg.tols(a.dim, tol)[1]
+        table = analysis._certainty_deviations(a, b, units, observables.line_table(a, b),
+                                               observables.compressions(a, b))
+        want = np.array([[naive.get(("A", x, y), 0.0) for y in b.outcomes] for x in a.outcomes])
+        assert np.abs(table - want).max() <= 1e-12
 
 
 class TestToleranceEdges:

@@ -7,6 +7,7 @@ witness must name a location whose reference deviation is within DEV_TOL
 of ``max_deviation`` (on exact ties either location will do).
 """
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +20,7 @@ from mubkit import (
     conjugate,
     linalg,
     momentum_observable,
+    observables,
     oracle,
     position_observable,
     random_observable,
@@ -68,6 +70,17 @@ def partial_certainty(dim, u):
     return Observable(_labels(2), [first, np.eye(dim) - first])
 
 
+def weighted_blocks(dim, u, weight=0.3):
+    """weight P and (1 - weight) P for the projection P onto each run of four columns of
+    ``u`` (the last run may be shorter): unsharp effects of rank up to four, and no
+    eigenvalue at 1, so no certainty subspace."""
+    effs = []
+    for j in range(0, dim, 4):
+        block = u[:, j:j + 4] @ u[:, j:j + 4].conj().T
+        effs += [weight * block, (1 - weight) * block]
+    return Observable(_labels(len(effs)), effs)
+
+
 def build_pair(kind, dim, seed):
     rng = np.random.default_rng(seed)
     even = max(2, dim - dim % 2)
@@ -97,12 +110,14 @@ def build_pair(kind, dim, seed):
         return uneven_position(dim, u), conjugate(momentum_observable(dim), u)
     if kind == "partial-certainty":
         return partial_certainty(dim, random_unitary(dim, rng)), momentum_observable(dim)
+    if kind == "weighted-blocks":
+        return weighted_blocks(dim, random_unitary(dim, rng)), random_observable(dim, 2, "sharp", rng)
     raise AssertionError(kind)
 
 
 KINDS = ["mub", "random-atomic", "coarse-matched", "coarse-mismatched", "random-sharp",
          "unsharp", "atomic-vs-sharp", "halved-vs-atomic", "snap-band-vs-momentum",
-         "mixed-rank-vs-momentum", "partial-certainty"]
+         "mixed-rank-vs-momentum", "partial-certainty", "weighted-blocks"]
 
 
 def trace_deviations(a, b, target):
@@ -122,11 +137,8 @@ def assert_agrees(verdict, deviations, locate, mat_tol):
         assert abs(deviations[locate(verdict.witness)] - verdict.max_deviation) <= DEV_TOL
 
 
-@settings(max_examples=80, deadline=None)
-@given(kind=st.sampled_from(KINDS), dim=st.integers(2, 7), seed=st.integers(0, 2**32 - 1),
-       tol=st.sampled_from([None, 1e-6, 1e-12]))
-def test_deciders_match_naive_reference(kind, dim, seed, tol):
-    a, b = build_pair(kind, dim, seed)
+def assert_deciders_agree(a, b, tol):
+    """Every checker against the naive reference, and ``classify_pair`` against every checker."""
     mat_tol, eig_tol = linalg.tols(a.dim, tol)
     cases = [
         (analysis.check_condition1(a, b, tol), oracle.naive_condition1(a, b),
@@ -151,3 +163,29 @@ def test_deciders_match_naive_reference(kind, dim, seed, tol):
     assert report.value_complementary == cases[2][0]
     assert report.generalized_mu == cases[3][0]
     assert report.mu == (cases[4][0] if len(cases) == 5 else None)
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(KINDS), dim=st.integers(2, 7), seed=st.integers(0, 2**32 - 1),
+       tol=st.sampled_from([None, 1e-6, 1e-12]))
+def test_deciders_match_naive_reference(kind, dim, seed, tol):
+    assert_deciders_agree(*build_pair(kind, dim, seed), tol)
+
+
+FACTORED_KINDS = ["coarse-matched", "coarse-mismatched", "random-sharp", "mixed-rank-vs-momentum",
+                  "partial-certainty", "weighted-blocks"]
+
+
+@pytest.mark.parametrize("kind", FACTORED_KINDS)
+@pytest.mark.parametrize("dim", [8, 17, 27, 32, 64])
+def test_factored_lifts_match_naive_reference(kind, dim):
+    """The projector path past the hypothesis suite's d <= 7: blocks of outcomes lifted
+    through their factors, and compressions that value complementarity reads."""
+    a, b = build_pair(kind, dim, dim)
+    factored = [x for first, second in ((a, b), (b, a))
+                for comp in observables.compressions(first, second) for x in comp.index]
+    # coarse-grainings in two blocks, runs of two or four columns: ranks held by two outcomes or
+    # more; a lone rank-two effect against momentum once its n lifts fill a block (d^3 >= 2^14)
+    if kind != "random-sharp" and (kind != "partial-certainty" or dim ** 3 >= linalg._CHUNK_ENTRIES):
+        assert factored
+    assert_deciders_agree(a, b, None)

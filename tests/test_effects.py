@@ -6,7 +6,6 @@ from mubkit import linalg
 from mubkit.effects import (
     Effect,
     State,
-    commutes,
     occurrence_probability,
     seq_product,
 )
@@ -219,40 +218,20 @@ class TestSeqProduct:
         assert linalg.hermitian_eig(gap).eigenvalues[0] > -1e-12
 
 
-class TestCommutes:
-    def test_diagonal_pair(self):
-        assert commutes(Effect(np.diag([1.0, 0.0]).astype(complex)),
-                        Effect(np.diag([0.0, 1.0]).astype(complex)))
-
-    def test_position_momentum_do_not(self):
-        assert not commutes(Effect(Q0_DIM2), Effect(P0_DIM2))
-
-    def test_agreement_with_product_symmetry(self):
-        rng = np.random.default_rng(23)
-        diag = Effect(np.diag(rng.uniform(0, 1, 4)).astype(complex))
-        diag2 = Effect(np.diag(rng.uniform(0, 1, 4)).astype(complex))
-        assert commutes(diag, diag2)
-        assert mat_approx_eq(seq_product(diag, diag2).matrix,
-                                    seq_product(diag2, diag).matrix, tol=1e-13)
-        a, b = random_effect(4, rng), random_effect(4, rng)
-        if not commutes(a, b):
-            assert linalg.max_abs(seq_product(a, b).matrix - seq_product(b, a).matrix) > 1e-9
-
-
 class TestPredicates:
     def test_projection_sharp_atomic(self):
         e = Effect(Q0_DIM2)
         assert e.is_sharp() and e.is_atomic()
-        assert not e.is_invertible()
+        assert e.spectral.eigenvalues[0] < linalg.EIGENVALUE_TOL  # not invertible
 
     def test_identity_sharp_not_atomic(self):
         e = Effect(np.eye(2, dtype=complex))
         assert e.is_sharp() and not e.is_atomic()
-        assert e.is_invertible()
+        assert e.spectral.eigenvalues[0] >= linalg.EIGENVALUE_TOL  # invertible
 
     def test_uniform_invertible_not_sharp(self):
         e = Effect(np.eye(3, dtype=complex) / 3.0)
-        assert e.is_invertible() and not e.is_sharp()
+        assert e.spectral.eigenvalues[0] >= linalg.EIGENVALUE_TOL and not e.is_sharp()
 
     def test_rank_two_projection_not_atomic(self):
         e = Effect(P_HALF_0)
@@ -262,11 +241,6 @@ class TestPredicates:
         e = Effect(np.diag([1.0 - 5e-10, 0.0]).astype(complex))
         assert e.is_sharp()
         assert not Effect(np.diag([1.0 - 1e-6, 0.0]).astype(complex)).is_sharp()
-
-    def test_invertibility_threshold_is_tol(self):
-        e = Effect(np.diag([0.5, 1e-12]).astype(complex))
-        assert not e.is_invertible()
-        assert e.is_invertible(tol=1e-13)
 
     def test_unit_eigenspace(self):
         basis = Effect(Q_HALF_0).unit_eigenspace()

@@ -5,7 +5,6 @@ from mubkit import linalg
 from mubkit.errors import InvalidDim
 from mubkit.fourier import (
     example_partitions,
-    fourier_basis_pair,
     fourier_matrix,
     momentum_observable,
     position_observable,
@@ -154,13 +153,6 @@ def test_trace_pairing_is_uniform():
             for pk in p.effects:
                 t = np.trace(qj.matrix @ pk.matrix).real
                 assert abs(t - 1.0 / dim) < 1e-12
-
-
-def test_basis_pair_bundle():
-    pair = fourier_basis_pair(3)
-    assert pair.dim == 3
-    assert np.array_equal(pair.matrix, fourier_matrix(3))
-    assert len(pair.position) == 3 and len(pair.momentum) == 3
 
 
 def test_example_partitions_fixtures():

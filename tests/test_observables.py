@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import hermitian_formula, mat_approx_eq, mu_atomic_pair, random_atomic_pair
+from helpers import coarse_matched_pair, hermitian_formula, mat_approx_eq, mu_atomic_pair, random_atomic_pair
 from mubkit import analysis, linalg, observables
 from mubkit.effects import Effect, State, seq_matrix, seq_product
 from mubkit.errors import (
@@ -534,7 +534,8 @@ class TestHermitianStacks:
         for first, second in ((obs, other), (other, obs)):
             lines = observables.line_table(first, second)
             coeffs = lines.forms * first.spectra()[lines.index, -1]
-            summed = observables._summed(first, second, lines, coeffs, np.zeros((len(first), len(second))))
+            made = observables.compressions(first, second)
+            summed = observables._summed(first, second, lines, coeffs, made, np.zeros((len(first), len(second))))
             assert np.abs(summed - summed.conj().swapaxes(-1, -2)).max() <= 1e-15
             assert conditioned(second, first).stack().tobytes() == hermitian_formula(summed).tobytes()
             gaps = linalg.max_abs_each(summed - np.eye(dim) / len(second))
@@ -593,6 +594,22 @@ class TestRowBlocks:
         finally:
             tracemalloc.stop()
         assert peak < dim ** 3 * 16  # one (d, d, d) complex stack, 4 MiB
+
+    def test_factored_pass_holds_one_block(self):
+        """A pass that lifts its effects through their factors holds (B|A), one (n, d, d) stack,
+        and one block of products at a time: at most ``linalg._CHUNK_ENTRIES`` lifts' entries,
+        whose magnitudes, targets and the compressions stay within three more such blocks. All
+        m n lifts would take 4 MiB here, and the dense lift peaks at 2.5 MiB."""
+        dim, m = 64, 8
+        a, b = coarse_matched_pair(dim, m, 5)
+        assert [c.index.tolist() for c in observables.compressions(a, b)] == [list(range(m))]
+        tracemalloc.start()
+        try:
+            products(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * (m * dim ** 2 + 4 * linalg._CHUNK_ENTRIES)  # 1.5 MiB
 
 
 BELL = {0: 1, 1: 1, 2: 2, 3: 5, 4: 15, 5: 52}
