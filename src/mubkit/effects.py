@@ -21,17 +21,17 @@ class Effect:
     square root calls never re-diagonalize. Instances are immutable.
     """
 
-    __slots__ = ("matrix", "_spectral", "_zero", "_factor", "_sqrt", "_complement")
+    __slots__ = ("matrix", "_spectral", "_rank", "_factor", "_sqrt", "_complement")
 
     def __init__(self, matrix, tol: float | None = None):
-        (checked,), _, _ = effects_of(linalg.as_matrix(matrix)[None].copy(), tol)
-        self._set(checked.matrix, checked.spectral, checked._zero)
+        (checked,), *_ = effects_of(linalg.as_matrix(matrix)[None].copy(), tol)
+        self._set(checked.matrix, checked.spectral, checked._rank)
 
-    def _set(self, m: np.ndarray, spectral: linalg.SpectralDecomposition, zero: float) -> "Effect":
-        """Keep a matrix, its checked decomposition and zero band (``factor``); returns the effect."""
+    def _set(self, m: np.ndarray, spectral: linalg.SpectralDecomposition, rank: int) -> "Effect":
+        """Keep a matrix, its checked decomposition and rank (``factor``); returns the effect."""
         self.matrix = m
         self._spectral = spectral
-        self._zero = zero
+        self._rank = rank
         self._factor = None
         self._sqrt = None
         self._complement = None
@@ -48,19 +48,18 @@ class Effect:
     def factor(self) -> tuple[np.ndarray, np.ndarray]:
         """Rank factor (V_r, sqrt(w_r)) of the square root, computed once.
 
-        V_r (d x r) holds the eigenvectors whose eigenvalues w_r are at
-        least the zero band max(eig_tol, ``EIGENVALUE_TOL``) of the effect's
-        validation; eigenvalues inside it are snapped to zero, since otherwise
-        the root amplifies 1e-17 solver noise on projections to 3e-9 (six
-        digits lost in sequential products) and gives an effect validated
-        as atomic a rank-two root. So
+        r is the rank counted at validation (``effects_of``), so V_r (d x r) is the
+        last r eigenvectors, whose eigenvalues w_r are at least the zero band; those
+        inside it are snapped to zero, since otherwise the root amplifies 1e-17 solver
+        noise on projections to 3e-9 (six digits lost in sequential products) and
+        gives an effect validated as atomic a rank-two root. So
         sqrt(A) = V_r diag(sqrt(w_r)) V_r*, and r is the rank the products
         see: 1 for atomic effects, whose products A o B are then w v*Bv vv*.
         """
         if self._factor is None:
             w, v = self._spectral
-            keep = w >= self._zero
-            self._factor = (linalg.freeze(v[:, keep]), linalg.freeze(np.sqrt(w[keep])))
+            top = len(w) - self._rank
+            self._factor = (linalg.freeze(v[:, top:]), linalg.freeze(np.sqrt(w[top:])))
         return self._factor
 
     def sqrt(self) -> np.ndarray:
@@ -105,26 +104,27 @@ class Effect:
 
 
 def effects_of(stack: np.ndarray, tol: float | None = None
-               ) -> tuple[list[Effect], linalg.SpectralDecomposition, np.ndarray]:
+               ) -> tuple[list[Effect], linalg.SpectralDecomposition, np.ndarray, np.ndarray]:
     """Validate every matrix of a writable (m, d, d) stack as an effect: one ``linalg.hermitian_eigs``
     pass, which leaves the stack symmetrized and frozen, then one vector test that every
     spectrum lies in [0, 1] within the eigenvalue tolerance (NaN fails it).
 
     Returns the effects (read-only views of the stack and of its stacked
-    decomposition, with the zero band max(eig_tol, ``EIGENVALUE_TOL``)),
-    that decomposition and its (m,) mask of certified rank-one matrices.
+    decomposition), that decomposition, its (m,) mask of certified rank-one
+    matrices and the read-only (m,) ranks of ``Effect.factor``: each matrix's
+    eigenvalues at least the zero band max(eig_tol, ``EIGENVALUE_TOL``).
     Raises the error of some invalid matrix, not necessarily the first.
     """
     spectral, certified = linalg.hermitian_eigs(stack, tol)
     _, eig_tol = linalg.tols(stack.shape[-1], tol)
-    zero = max(eig_tol, linalg.EIGENVALUE_TOL)
     low, high = spectral.eigenvalues[:, 0], spectral.eigenvalues[:, -1]
     bad = np.flatnonzero(~((low >= -eig_tol) & (high <= 1.0 + eig_tol)))
     if len(bad):
         value = float(low[bad[0]] if not low[bad[0]] >= -eig_tol else high[bad[0]])
         raise SpectrumOutOfRange(f"eigenvalue {value!r} outside [0, 1] by more than {eig_tol:.3e}")
-    return [Effect.__new__(Effect)._set(m, linalg.SpectralDecomposition(w, v), zero)
-            for m, w, v in zip(stack, *spectral)], spectral, certified
+    ranks = linalg.freeze((spectral.eigenvalues >= max(eig_tol, linalg.EIGENVALUE_TOL)).sum(axis=-1))
+    return [Effect.__new__(Effect)._set(m, linalg.SpectralDecomposition(w, v), r)
+            for m, w, v, r in zip(stack, *spectral, ranks.tolist())], spectral, certified, ranks
 
 
 def require_same_dim(a, b) -> None:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .errors import DimMismatch, InvalidParams, NonFinite, NotHermitian
 
 #: Default tolerance for classifying individual eigenvalues (zero? one?), and
 #: the least zero band: below max(eig_tol, EIGENVALUE_TOL) of its validation,
-#: an effect's eigenvalue is zero for its square root and the line table.
+#: an effect's eigenvalue is zero for its rank (``effects.effects_of``).
 EIGENVALUE_TOL = 1e-9
 
 #: Largest ||H - v v*||_F at which ``hermitian_eigs`` certifies H as rank
@@ -38,10 +38,20 @@ EIGENVALUE_TOL = 1e-9
 #: rank one is not certified.
 CERTIFICATE_TOL = 1e-13
 
-#: ``hermitian_eigs`` works through its stack, and a factored product pass through
-#: its products (``observables.product_blocks``), in chunks of at most this many
-#: entries (256 KiB of complex128), so that their temporaries stay small.
+#: The most entries (256 KiB of complex128) in one tile of ``blocks``, by which
+#: ``hermitian_eigs`` works through its stack and a factored product pass through
+#: its products, so that their temporaries stay small.
 _CHUNK_ENTRIES = 1 << 14
+
+
+def blocks(count: int, n: int, dim: int) -> Iterator[tuple[slice, slice]]:
+    """Slices (xs, ys) that tile a count x n table of d x d matrices in C order, each tile of
+    at most ``_CHUNK_ENTRIES`` entries, and of one matrix at least (for d >= 91, exactly one)."""
+    per = max(1, _CHUNK_ENTRIES // dim ** 2)
+    rows, cols = max(1, per // n), min(n, per)
+    for i in range(0, count, rows):
+        for j in range(0, n, cols):
+            yield slice(i, i + rows), slice(j, j + cols)
 
 
 def default_tol(dim: int) -> float:
@@ -195,19 +205,18 @@ def hermitian_eigs(stack: np.ndarray, tol: float | None = None
     * **Fallback.** Every other matrix goes through ``eigh`` on the same
       H, so its decomposition has the bits ``hermitian_eig`` gives.
 
-    Returns one read-only ``SpectralDecomposition`` of the whole stack:
-    eigenvalues (m, d), each row ascending, and eigenvectors (m, d, d),
-    whose k-th matrix belongs to the k-th row; and a read-only (m,) bool
-    mask, true exactly for the certified matrices. Raises ``NotHermitian``
-    for the first matrix whose asymmetry exceeds the tolerance.
+    Works a tile of ``blocks`` at a time and returns one read-only ``SpectralDecomposition``
+    of the whole stack: eigenvalues (m, d), each row ascending, and eigenvectors (m, d, d),
+    whose k-th matrix belongs to the k-th row; and a read-only (m,) bool mask, true exactly
+    for the certified matrices. Raises ``NotHermitian`` for the first matrix whose asymmetry
+    exceeds the tolerance.
     """
     mat_tol, eig_tol = tols(stack.shape[-1], tol)
     w = np.zeros(stack.shape[:-1])
     v = np.empty_like(stack)
     certified = np.zeros(len(stack), dtype=bool)
-    step = max(1, _CHUNK_ENTRIES // stack.shape[-1] ** 2)
-    for i in range(0, len(stack), step):
-        _chunk_eigs(stack[i:i + step], mat_tol, eig_tol, w[i:i + step], v[i:i + step], certified[i:i + step])
+    for xs, _ in blocks(len(stack), 1, stack.shape[-1]):
+        _chunk_eigs(stack[xs], mat_tol, eig_tol, w[xs], v[xs], certified[xs])
     freeze(stack)
     return SpectralDecomposition(freeze(w), freeze(v)), freeze(certified)
 

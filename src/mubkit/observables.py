@@ -9,15 +9,15 @@ with a 10x looser tolerance, since each entry accumulates roundoff from up
 to m*n sequential products. Predicates compare the unvalidated products of
 ``products`` instead: products and sums of valid effects need no second check.
 
-Every observable is one validated (m, d, d) stack, and the stacked decomposition and
-certified mask its validation produced (``effects.effects_of``): each effect is a view
-of the stack and decomposition. An ``Effect`` given to ``Observable`` counts as its
-matrix and is validated again, under the observable's tolerance.
+Every observable is one validated (m, d, d) stack, and the stacked decomposition,
+certified mask and factor ranks its validation produced (``effects.effects_of``): each
+effect is a view of the stack and decomposition. An ``Effect`` given to ``Observable``
+counts as its matrix and is validated again, under the observable's tolerance.
 
-``products`` makes every sequential product of a pair by the paper's taxonomy: a
-rank-one effect as a line (``line_table``), a low-rank one, such as a block of a
-coarse-grained position or momentum, through its factor (``compressions``), and
-any other, such as a full-rank unsharp effect, as the dense lift sqrt(A) B sqrt(A).
+``products`` makes every sequential product of a pair by the paper's taxonomy of ranks
+(``Observable.ranks``): a rank-one effect as a line (``line_table``, which owns c_xy), a
+low-rank one, such as a block of coarse-grained position, through its factor
+(``compressions``), and any other, such as a full-rank unsharp one, as sqrt(A) B sqrt(A).
 
 The tables that ``analysis`` turns into verdicts are made here, as array programs over
 the (m, d, d) stacks; the (m, n, d, d) array of all products is never built.
@@ -29,8 +29,7 @@ the (m, d, d) stacks; the (m, n, d, d) array of all products is never built.
   O((m + n) d) numbers per row: no (m, d, d) stack, unless a line is uncertified and
   its forms read the lines' projections. Any other pass holds stacks of at most m or
   n matrices, O((m + n) d^2); one that lifts effects through their factors holds (B|A)
-  and one block of at most ``linalg._CHUNK_ENTRIES`` lifts' entries beyond its
-  factors and compressions.
+  and one tile of lifts (``linalg.blocks``) beyond its factors and compressions.
 * ``certainty_deviations`` reads a certainty subspace that is a rank-one effect's own
   line as |Re <B_y, P_x> - 1/n| max|v|^2, a column of the line table; other subspaces
   are compressed to k x k: where the subspace is a factored effect's kept range, the
@@ -88,7 +87,7 @@ class Observable:
             raise LabelMismatch(f"{len(labels)} labels for {len(effects)} effects")
         if not labels:
             raise LabelMismatch("observable needs at least one outcome")
-        self._stack, validated, self._spectral, self._certified = _validated(labels, effects, tol)
+        self._stack, validated, self._spectral, self._certified, self._ranks = _validated(labels, effects, tol)
         dim = self._stack.shape[-1]
         mat_tol, _ = linalg.tols(dim, tol)
         defect = linalg.max_abs(self._stack.sum(axis=0) - np.eye(dim))
@@ -97,7 +96,6 @@ class Observable:
         self.outcomes = labels
         self.effects = tuple(validated)
         self.dim = dim
-        self._ranks = None
 
     def __len__(self) -> int:
         return len(self.outcomes)
@@ -122,10 +120,8 @@ class Observable:
         return self._spectral.eigenvalues
 
     def ranks(self) -> np.ndarray:
-        """Every effect's rank r_x as its square root sees it (``Effect.factor``), as one read-only
-        (m,) array, counted once: its eigenvalues at least the zero band, the top r_x of ``spectra``."""
-        if self._ranks is None:
-            self._ranks = linalg.freeze((self.spectra() >= self.effects[0]._zero).sum(axis=-1))
+        """Every effect's rank r_x as its square root sees it (``Effect.factor``), one read-only (m,)
+        array counted at validation (``effects_of``), by which every pass chooses each effect's path."""
         return self._ranks
 
     def is_sharp(self, tol: float | None = None) -> bool:
@@ -143,9 +139,9 @@ class Observable:
 
 
 def _validated(labels: tuple[str, ...], effects, tol: float | None
-               ) -> tuple[np.ndarray, list[Effect], linalg.SpectralDecomposition, np.ndarray]:
-    """The matrices as one validated stack, their effects, the stack's decomposition
-    and certified mask (``effects_of``). An ``Effect`` counts as its matrix.
+               ) -> tuple[np.ndarray, list[Effect], linalg.SpectralDecomposition, np.ndarray, np.ndarray]:
+    """The matrices as one validated stack, their effects, the stack's decomposition,
+    certified mask and ranks (``effects_of``). An ``Effect`` counts as its matrix.
 
     When the stacked pass raises, the matrices go one by one, in order, so
     that an error names the first invalid outcome; if every one is valid,
@@ -214,18 +210,19 @@ class LineTable(NamedTuple):
     index: np.ndarray    # (K,): the x whose A_x is rank one, ascending
     vectors: np.ndarray  # (d, K): their unit vectors v, A_x's top eigenvector
     forms: np.ndarray    # (n, K): Re <B_y, v v*>
+    coeffs: np.ndarray   # (n, K): c_xy = w_x Re <B_y, v v*>, so that A_x o B_y = c_xy v v*
 
 
 def line_table(a: Observable, b: Observable) -> LineTable:
     """The line table of the ordered pair (A, B), of one dimension.
 
-    A_x is rank one when exactly one eigenvalue is at least the zero band
-    that A's effects share (the rule of ``Effect.factor``), counted for all
-    x at once over ``spectra``; v is that eigenvalue's eigenvector, the last
-    column, read from the eigenvector stack. The forms are one Gram GEMM
+    A_x is rank one when ``Observable.ranks`` says so (the rank of ``Effect.factor``);
+    v is its one eigenvector above the zero band, the last column, read from the
+    eigenvector stack, and w_x its top eigenvalue. The forms are one Gram GEMM
     (``certified_forms``) when all of B and A's lines are certified, else
     one real GEMM of B's stack against the lines' (K, d, d) projection stack
-    (``linalg.frobenius``), made for that product and dropped.
+    (``linalg.frobenius``), made for that product and dropped. The table owns
+    the coefficients c_xy = w_x forms that ``products`` and ``_summed`` read.
     """
     require_same_dim(a, b)
     index = (a.ranks() == 1).nonzero()[0]
@@ -234,7 +231,7 @@ def line_table(a: Observable, b: Observable) -> LineTable:
         forms = certified_forms(b, vectors)
     else:
         forms = linalg.frobenius(b.stack(), linalg.projections(vectors))
-    return LineTable(index, vectors, forms)
+    return LineTable(index, vectors, forms, forms * a.spectra()[index, -1])
 
 
 class Compressions(NamedTuple):
@@ -254,7 +251,7 @@ def compressions(a: Observable, b: Observable) -> tuple[Compressions, ...]:
     r (d + r) < d^2, so that its lifts cost fewer flops than R B_y R; and, while one outcome's
     n lifts fit in a block (n d^2 < ``linalg._CHUNK_ENTRIES``), only when another A_x has its
     rank: there numpy calls, not flops, set the cost, and a block of one makes more than its
-    dense lift. Each numpy call makes a block of products of one rank (``product_blocks``):
+    dense lift. Each numpy call makes a tile of products of one rank (``linalg.blocks``):
     per (x, y) the GEMMs U_x* @ B_y and then @ U_x of one outcome's shapes, so these are the
     bits of one outcome's products. (OpenBLAS rounds an entry by the GEMM's width, so a block
     padded to a larger rank would move them.)
@@ -272,20 +269,10 @@ def compressions(a: Observable, b: Observable) -> tuple[Compressions, ...]:
         vectors = a._spectral.eigenvectors[index, :, d - k:]
         adjoints = vectors.conj().swapaxes(-1, -2)
         matrices = np.empty((len(index), len(b), k, k), dtype=complex)
-        for xs, ys in product_blocks(len(index), len(b), d):
+        for xs, ys in linalg.blocks(len(index), len(b), d):
             np.matmul(adjoints[xs, None] @ b.stack()[ys], vectors[xs, None], out=matrices[xs, ys])
         out.append(Compressions(np.array(index), vectors, adjoints, matrices))
     return tuple(out)
-
-
-def product_blocks(count: int, n: int, dim: int) -> Iterator[tuple[slice, slice]]:
-    """Slices (xs, ys) that tile a count x n table of d x d products in C order, each block of
-    at most ``linalg._CHUNK_ENTRIES`` entries of products (256 KiB), and of one product at least."""
-    per = max(1, linalg._CHUNK_ENTRIES // dim ** 2)
-    rows, cols = max(1, per // n), min(n, per)
-    for i in range(0, count, rows):
-        for j in range(0, n, cols):
-            yield slice(i, i + rows), slice(j, j + cols)
 
 
 def certified_forms(b: Observable, vectors: np.ndarray) -> np.ndarray:
@@ -330,7 +317,7 @@ def certainty_deviations(first: Observable, second: Observable, units: np.ndarra
         if not shared.all():
             index, u, adj, matrices = index[shared], u[shared], adj[shared], matrices[shared]
         core = matrices - target * np.eye(u.shape[-1])
-        for xs, ys in product_blocks(len(index), len(second), first.dim):
+        for xs, ys in linalg.blocks(len(index), len(second), first.dim):
             devs[index[xs], ys] = linalg.max_abs_each(u[xs, None] @ core[xs, ys] @ adj[xs, None])
         counts[index] = 0
     for x in counts.nonzero()[0]:
@@ -381,8 +368,7 @@ def products(a: Observable, b: Observable) -> Products:
     scale = 1.0 / len(b)
     devs = np.zeros((len(a), len(b)))
     lines = line_table(a, b)
-    ones = lines.index
-    coeffs = lines.forms * a.spectra()[ones, -1]
+    ones, coeffs = lines.index, lines.coeffs
     if len(ones):  # w_x |f_xy - 1/n| max|v|^2, set to 0 on uncertified lines but at lo/hi
         peaks = np.max(np.abs(lines.vectors), axis=0) ** 2 * a._certified[ones]
         devs[ones] = (np.abs(lines.forms - scale) * a.spectra()[ones, -1] * peaks).T
@@ -394,7 +380,7 @@ def products(a: Observable, b: Observable) -> Products:
                 devs[xs, ys] = linalg.max_abs_each(coeffs[ys, cols, None, None] * subset - targets)
     if len(ones) < len(a):
         comps = compressions(a, b)
-        summed = _summed(a, b, lines, coeffs, comps, devs)
+        summed = _summed(a, b, lines, comps, devs)
         return Products(devs, _uniform_deviations(summed, scale), lines, comps)
     rows = lines.vectors.T
     conj = rows.conj()
@@ -413,35 +399,36 @@ def _uniform_deviations(summed: np.ndarray, scale: float) -> np.ndarray:
     return linalg.max_abs_each(summed)
 
 
-def _summed(a: Observable, b: Observable, lines: LineTable, coeffs: np.ndarray,
-            comps: tuple[Compressions, ...], devs: np.ndarray) -> np.ndarray:
+def _summed(a: Observable, b: Observable, lines: LineTable, comps: tuple[Compressions, ...],
+            devs: np.ndarray) -> np.ndarray:
     """(B|A)_y = sum_x A_x o B_y as an (n, d, d) array, summed, not validated. ``lines`` is
-    ``line_table(a, b)``, ``coeffs`` its c_xy (n, K) and ``comps`` is ``compressions(a, b)``;
-    each lifted row of ``devs`` (m, n) gets max_abs(A_x o B_y - A_x / n).
+    ``line_table(a, b)`` and ``comps`` is ``compressions(a, b)``; each lifted row of ``devs``
+    (m, n) gets max_abs(A_x o B_y - A_x / n).
 
-    The rank-one effects' part is c @ P, one real (n, K) x (K, 2d^2) GEMM over the
-    float view of their (K, d, d) projection stack. A factored effect has
+    The rank-one effects' part is c @ P, c the table's c_xy, one real (n, K) x (K, 2d^2)
+    GEMM over the float view of their (K, d, d) projection stack. A factored effect has
     sqrt(A_x) = U_x diag(s) U_x*, s = sqrt(w_x) for its k kept eigenvalues w_x
     (``Effect.factor``), so A_x o B_y = U_x (diag(s) C_xy diag(s)) U_x* with C_xy from
-    ``comps``: two GEMMs per (x, y), O(d^2 k) instead of O(d^3), a block of products per
-    call (``product_blocks``), so the pass holds one block of lifts beyond (B|A). Every
-    other effect lifts R B_y R, R = sqrt(A_x), for all y in two GEMMs over B's stack
-    viewed as (n d, d) rows: rows @ R gives every B_y R, whose conjugate transpose is R B_y
-    (R and B_y are Hermitian in every bit), and a second GEMM gives (R B_y) R, into three
-    (n, d, d) buffers made once per pass. By the same GEMM rounding, these differ from n
-    separate d x d products by about 1e-16 at some d (with OpenBLAS, those not a multiple of 4).
+    ``comps``: two GEMMs per (x, y), O(d^2 k) instead of O(d^3), a tile of products per
+    call (``linalg.blocks``), so the pass holds one tile of lifts beyond (B|A). Every other
+    effect, of rank neither 1 nor factored (``Observable.ranks``), lifts R B_y R, R = sqrt(A_x),
+    for all y in two GEMMs over B's stack viewed as (n d, d) rows: rows @ R gives every B_y R,
+    whose conjugate transpose is R B_y (R and B_y are Hermitian in every bit), and a second GEMM
+    gives (R B_y) R, into three (n, d, d) buffers made once per pass. By the same GEMM rounding,
+    these differ from n separate d x d products by about 1e-16 at some d (with OpenBLAS, those
+    not a multiple of 4).
     """
     scale = 1.0 / len(b)
     shape = (len(b), a.dim, a.dim)
     if len(lines.index):
-        total = (coeffs @ linalg.real_rows(linalg.projections(lines.vectors))).view(complex).reshape(shape)
+        total = (lines.coeffs @ linalg.real_rows(linalg.projections(lines.vectors))).view(complex).reshape(shape)
     else:  # the bits of an empty GEMM, without its cost on small lifted passes
         total = np.zeros(shape, dtype=complex)
-    lifted = np.bincount(lines.index, minlength=len(a)) == 0
+    lifted = a.ranks() != 1
     for index, vectors, adjoints, matrices in comps:
         roots = np.sqrt(a.spectra()[index, a.dim - vectors.shape[-1]:])
         scaled = matrices * (roots[:, None, :, None] * roots[:, None, None, :])  # diag(s) C_xy diag(s)
-        for xs, ys in product_blocks(len(index), len(b), a.dim):
+        for xs, ys in linalg.blocks(len(index), len(b), a.dim):
             lifts = vectors[xs, None] @ scaled[xs, ys] @ adjoints[xs, None]
             total[ys] += lifts[0] if len(lifts) == 1 else lifts.sum(axis=0)  # no copy of a block of one
             lifts -= scale * a.stack()[index[xs], None]
@@ -464,12 +451,10 @@ def _summed(a: Observable, b: Observable, lines: LineTable, coeffs: np.ndarray,
 
 
 def conditioned(b: Observable, a: Observable, tol: float | None = None) -> Observable:
-    """The observable (B|A), summed as by a product pass with a lifted row (``_summed``),
-    validated once."""
+    """The observable (B|A), summed as by a product pass with a lifted row (``_summed``, on
+    the line table and compressions of (A, B)), validated once."""
     base, _ = linalg.tols(a.dim, tol)
-    lines = line_table(a, b)
-    coeffs = lines.forms * a.spectra()[lines.index, -1]
-    summed = _summed(a, b, lines, coeffs, compressions(a, b), np.zeros((len(a), len(b))))
+    summed = _summed(a, b, line_table(a, b), compressions(a, b), np.zeros((len(a), len(b))))
     return Observable(b.outcomes, summed, 10 * base)
 
 

@@ -10,6 +10,7 @@ from helpers import mat_approx_eq
 from mubkit import linalg
 from mubkit.effects import Effect
 from mubkit.errors import DimMismatch, NotHermitian
+from mubkit.oracle import random_observable, random_unitary
 
 F2 = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 
@@ -217,3 +218,30 @@ def test_frobenius_of_projections_is_the_quadratic_form():
             assert got.shape == (n, k)
             assert np.max(np.abs(got - expected)) <= 1e-15
         assert linalg.frobenius(stacks[0], linalg.projections(v[:, :0])).shape == (n, 0)
+
+
+@pytest.mark.parametrize("count", [1, 2, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 17])
+@pytest.mark.parametrize("dim", [1, 8, 64, 90, 91, 129])
+def test_blocks_tile_the_table_once_in_c_order(count, n, dim):
+    """From d = 91 on, 2^14 // d^2 is 1: a tile holds one matrix, however large."""
+    tiles = list(linalg.blocks(count, n, dim))
+    cells = [(x, y) for xs, ys in tiles for x in range(count)[xs] for y in range(n)[ys]]
+    assert cells == [(x, y) for x in range(count) for y in range(n)]
+    for xs, ys in tiles:
+        size = len(range(count)[xs]) * len(range(n)[ys])
+        assert size >= 1 and (size * dim ** 2 <= linalg._CHUNK_ENTRIES or size == 1)
+
+
+def test_hermitian_eigs_past_one_matrix_a_tile_matches_stacks_of_one():
+    """At d = 129 every tile of the stack is one matrix: two certified Haar lines and a
+    Wishart effect, which goes through ``eigh``, each as validated alone."""
+    rng = np.random.default_rng(129)
+    u = random_unitary(129, rng)
+    stack = np.stack([np.outer(u[:, 0], u[:, 0].conj()), np.outer(u[:, 1], u[:, 1].conj()),
+                      random_observable(129, 2, "unsharp", rng).effects[0].matrix])
+    alone = [linalg.hermitian_eigs(m[None].copy()) for m in stack]
+    (w, v), certified = linalg.hermitian_eigs(stack.copy())
+    assert certified.tolist() == [True, True, False]
+    for k, ((w1, v1), c1) in enumerate(alone):
+        assert w[k].tobytes() == w1.tobytes() and v[k].tobytes() == v1.tobytes() and certified[k] == c1[0]

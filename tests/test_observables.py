@@ -535,13 +535,85 @@ class TestHermitianStacks:
         # (B|A) is summed as computed, Hermitian within rounding; validation symmetrizes it
         for first, second in ((obs, other), (other, obs)):
             lines = observables.line_table(first, second)
-            coeffs = lines.forms * first.spectra()[lines.index, -1]
             made = observables.compressions(first, second)
-            summed = observables._summed(first, second, lines, coeffs, made, np.zeros((len(first), len(second))))
+            summed = observables._summed(first, second, lines, made, np.zeros((len(first), len(second))))
             assert np.abs(summed - summed.conj().swapaxes(-1, -2)).max() <= 1e-15
             assert conditioned(second, first).stack().tobytes() == hermitian_formula(summed).tobytes()
             gaps = linalg.max_abs_each(summed - np.eye(dim) / len(second))
             assert np.abs(products(first, second).conditioned - gaps).max() <= 1e-15
+
+
+def decided_once_case(name):
+    """(observable, the tol it was validated at): certified lines, rank-four blocks, an uncertified
+    line, a rank-two effect with a certain line, full-rank Wishart effects, and eigenvalues 5e-7 and
+    1 - 5e-7, inside the zero band of tol 1e-6 but not of the default's."""
+    rng = np.random.default_rng(24)
+    small = [np.diag([1, 5e-7, 0]), np.diag([0, 1 - 5e-7, 1])]
+    return {
+        "position": lambda: (mu_atomic_pair(8, rng)[0], None),
+        "momentum": lambda: (mu_atomic_pair(8, rng)[1], None),
+        "interval-blocks": lambda: (coarse_matched_pair(16, 4, rng)[0], None),
+        "snap-band": lambda: (snap_band_basis(random_unitary(8, rng)), None),
+        "partial-certainty": lambda: (partial_certainty(8, random_unitary(8, rng)), None),
+        "wishart": lambda: (random_observable(8, 3, "unsharp", rng), None),
+        "small-tol-1e-6": lambda: (Observable(["0", "1"], small, 1e-6), 1e-6),
+        "small-default-tol": lambda: (Observable(["0", "1"], small), None),
+    }[name]()
+
+
+DECIDED_RANKS = {"position": [1] * 8, "momentum": [1] * 8, "interval-blocks": [4] * 4, "snap-band": [1] * 8,
+                 "partial-certainty": [2, 7], "wishart": [8] * 3, "small-tol-1e-6": [1, 2],
+                 "small-default-tol": [2, 2]}
+
+
+class TestDecidedOnce:
+    """Each input of a product pass has one owner: validation counts the factor ranks and the
+    line table makes c_xy. mu of an atomic pair equals the generalized verdict."""
+
+    @pytest.mark.parametrize("name", sorted(DECIDED_RANKS))
+    def test_ranks_are_the_factors_of_validation(self, name):
+        obs, tol = decided_once_case(name)
+        ranks = obs.ranks()
+        assert not ranks.flags.writeable and ranks is obs.ranks()
+        assert ranks.tolist() == DECIDED_RANKS[name] == [e.factor()[1].size for e in obs.effects]
+        for e, r in zip(obs.effects, ranks.tolist()):
+            w, v = e.spectral
+            top = obs.dim - r
+            want = v[:, top:].tobytes() + np.sqrt(w[top:]).tobytes()
+            assert b"".join(f.tobytes() for f in e.factor()) == want
+            assert b"".join(f.tobytes() for f in Effect(e.matrix, tol).factor()) == want
+
+    def test_line_table_owns_the_coefficients(self):
+        for kind in KINDS:
+            a, b = build_pair(kind, 8, 24)
+            for first, second in ((a, b), (b, a)):
+                lines = observables.line_table(first, second)
+                assert np.array_equal(lines.coeffs, lines.forms * first.spectra()[lines.index, -1])
+                assert (first.ranks()[lines.index] == 1).all() and lines.coeffs.shape == (len(second), len(lines.index))
+
+    def test_mu_of_an_atomic_pair_is_the_generalized_verdict(self):
+        seen = 0
+        for kind in KINDS:
+            for dim in (2, 3, 5, 8):
+                a, b = build_pair(kind, dim, dim)
+                for tol in (None, 1e-6, 1e-12, 0.3):
+                    for first, second in ((a, b), (b, a)):
+                        report = analysis.classify_pair(first, second, tol)
+                        if report.mu is not None:
+                            seen += 1
+                            assert report.mu == report.generalized_mu == analysis.check_mu(first, second, tol)
+        assert seen >= 100
+
+    def test_loosely_atomic_pair_keeps_its_own_mu(self):
+        """Three 0.75 v v* on a trine are atomic within tol 0.3 with m = 3 > d = 2, so 1/d is not
+        the generalized target d/(m n): mu keeps its own verdict, the one ``check_mu`` gives."""
+        trine = [np.array([np.cos(t), np.sin(t)]) for t in (0, 2 * np.pi / 3, 4 * np.pi / 3)]
+        a = Observable(["0", "1", "2"], [0.75 * np.outer(v, v) for v in trine], 0.3)
+        b = position_observable(2)
+        for first, second in ((a, b), (b, a), (a, a)):
+            report = analysis.classify_pair(first, second, 0.3)
+            assert report.mu == analysis.check_mu(first, second, 0.3) != report.generalized_mu
+            assert report.mu.witness["target"] == 0.5
 
 
 ROW_BLOCK_DIMS = [1, 2, 3, 5, 8, 17, 18, 27, 32, 33, 64]  # around the block height and multiples of 4
