@@ -1,7 +1,11 @@
 """Effects, states, and the sequential product A o B = sqrt(A) B sqrt(A).
 
 Effects are validated once, as a stack (``effects_of``; ``Effect`` is a
-stack of one), and are views of that stack and of its stacked decomposition.
+stack of one), and are views of that stack and of what its validation found
+(``linalg.hermitian_eigs``): the eigenvalues and top unit eigenvector of every
+effect, and the full eigenvectors of those not certified as rank one. A
+certified effect's eigenvector unitary is built when ``Effect.spectral`` is
+first read; nothing in the checkers reads it.
 """
 from __future__ import annotations
 
@@ -14,22 +18,27 @@ from .errors import DimMismatch, InvalidProbability, NotNormalized, NotPositive,
 class Effect:
     """A Hermitian operator with spectrum inside [0, 1] (within tolerance).
 
-    Validation happens once, at construction, and computes the spectral
-    decomposition through ``linalg.hermitian_eigs`` (a stack of one here;
-    ``effects_of`` validates a whole stack): rank-one effects are certified
-    without ``eigh``. It is kept on the instance so later predicate and
-    square root calls never re-diagonalize. Instances are immutable.
+    Validation happens once, at construction, through ``linalg.hermitian_eigs``
+    (a stack of one here; ``effects_of`` validates a whole stack): rank-one
+    effects are certified without ``eigh``. Its eigenvalues and top eigenvector
+    are kept on the instance, with the full eigenvectors of an uncertified
+    effect, so later predicate and square root calls never re-diagonalize.
+    Instances are immutable.
     """
 
-    __slots__ = ("matrix", "_spectral", "_rank", "_factor", "_sqrt", "_complement")
+    __slots__ = ("matrix", "_eigenvalues", "_top", "_spectral", "_rank", "_factor", "_sqrt", "_complement")
 
     def __init__(self, matrix, tol: float | None = None):
         (checked,), *_ = effects_of(linalg.as_matrix(matrix)[None].copy(), tol)
-        self._set(checked.matrix, checked.spectral, checked._rank)
+        self._set(checked.matrix, checked._eigenvalues, checked._top, checked._spectral, checked._rank)
 
-    def _set(self, m: np.ndarray, spectral: linalg.SpectralDecomposition, rank: int) -> "Effect":
-        """Keep a matrix, its checked decomposition and rank (``factor``); returns the effect."""
+    def _set(self, m: np.ndarray, w: np.ndarray, top: np.ndarray,
+             spectral: linalg.SpectralDecomposition | None, rank: int) -> "Effect":
+        """Keep a matrix, its checked eigenvalues, top eigenvector, decomposition (None when
+        certified: ``spectral`` builds it) and rank (``factor``); returns the effect."""
         self.matrix = m
+        self._eigenvalues = w
+        self._top = top
         self._spectral = spectral
         self._rank = rank
         self._factor = None
@@ -43,6 +52,12 @@ class Effect:
 
     @property
     def spectral(self) -> linalg.SpectralDecomposition:
+        """Eigenvalues (ascending) and eigenvectors, whose last column is the top vector. A
+        certified effect's eigenvectors are the Householder unitary ending in it, built on
+        first read (``linalg._unitary_ending_in``)."""
+        if self._spectral is None:
+            unitary = linalg._unitary_ending_in(self._top[None])[0]
+            self._spectral = linalg.SpectralDecomposition(self._eigenvalues, linalg.freeze(unitary))
         return self._spectral
 
     def factor(self) -> tuple[np.ndarray, np.ndarray]:
@@ -54,12 +69,14 @@ class Effect:
         noise on projections to 3e-9 (six digits lost in sequential products) and
         gives an effect validated as atomic a rank-two root. So
         sqrt(A) = V_r diag(sqrt(w_r)) V_r*, and r is the rank the products
-        see: 1 for atomic effects, whose products A o B are then w v*Bv vv*.
+        see: 1 for atomic effects, whose products A o B are then w v*Bv vv*. A factor of
+        rank 0 or 1 is read from the top vector, so a certified effect (rank at most 1)
+        builds no unitary.
         """
         if self._factor is None:
-            w, v = self._spectral
-            top = len(w) - self._rank
-            self._factor = (linalg.freeze(v[:, top:]), linalg.freeze(np.sqrt(w[top:])))
+            w, r = self._eigenvalues, self._rank
+            v = self._top[:, None] if r <= 1 else self.spectral.eigenvectors
+            self._factor = (linalg.freeze(v[:, v.shape[1] - r:]), linalg.freeze(np.sqrt(w[len(w) - r:])))
         return self._factor
 
     def sqrt(self) -> np.ndarray:
@@ -86,17 +103,17 @@ class Effect:
     def is_sharp(self, tol: float | None = None) -> bool:
         """True when every eigenvalue sits at 0 or 1 within ``tol``."""
         _, tol = linalg.tols(self.dim, tol)
-        return sharp_spectra(self._spectral.eigenvalues, tol)
+        return sharp_spectra(self._eigenvalues, tol)
 
     def is_atomic(self, tol: float | None = None) -> bool:
         """True for rank-one projections: sharp with exactly one unit eigenvalue."""
         _, tol = linalg.tols(self.dim, tol)
-        return atomic_spectra(self._spectral.eigenvalues, tol)
+        return atomic_spectra(self._eigenvalues, tol)
 
     def unit_eigenspace(self, tol: float | None = None) -> np.ndarray:
         """Orthonormal basis (d x k, possibly k = 0) of the eigenvalue-1 eigenspace."""
         _, tol = linalg.tols(self.dim, tol)
-        w, v = self._spectral
+        w, v = self.spectral
         return v[:, np.abs(w - 1.0) <= tol]
 
     def __repr__(self) -> str:
@@ -104,27 +121,29 @@ class Effect:
 
 
 def effects_of(stack: np.ndarray, tol: float | None = None
-               ) -> tuple[list[Effect], linalg.SpectralDecomposition, np.ndarray, np.ndarray]:
+               ) -> tuple[list[Effect], linalg.StackSpectra, np.ndarray]:
     """Validate every matrix of a writable (m, d, d) stack as an effect: one ``linalg.hermitian_eigs``
     pass, which leaves the stack symmetrized and frozen, then one vector test that every
-    spectrum lies in [0, 1] within the eigenvalue tolerance (NaN fails it).
+    spectrum lies in [0, 1] within the eigenvalue tolerance.
 
-    Returns the effects (read-only views of the stack and of its stacked
-    decomposition), that decomposition, its (m,) mask of certified rank-one
-    matrices and the read-only (m,) ranks of ``Effect.factor``: each matrix's
+    Returns the effects (read-only views of the stack and of what the pass found), the
+    pass's ``StackSpectra`` and the read-only (m,) ranks of ``Effect.factor``: each matrix's
     eigenvalues at least the zero band max(eig_tol, ``EIGENVALUE_TOL``).
     Raises the error of some invalid matrix, not necessarily the first.
     """
-    spectral, certified = linalg.hermitian_eigs(stack, tol)
+    spectra = linalg.hermitian_eigs(stack, tol)
     _, eig_tol = linalg.tols(stack.shape[-1], tol)
-    low, high = spectral.eigenvalues[:, 0], spectral.eigenvalues[:, -1]
+    low, high = spectra.eigenvalues[:, 0], spectra.eigenvalues[:, -1]
     bad = np.flatnonzero(~((low >= -eig_tol) & (high <= 1.0 + eig_tol)))
     if len(bad):
         value = float(low[bad[0]] if not low[bad[0]] >= -eig_tol else high[bad[0]])
         raise SpectrumOutOfRange(f"eigenvalue {value!r} outside [0, 1] by more than {eig_tol:.3e}")
-    ranks = linalg.freeze((spectral.eigenvalues >= max(eig_tol, linalg.EIGENVALUE_TOL)).sum(axis=-1))
-    return [Effect.__new__(Effect)._set(m, linalg.SpectralDecomposition(w, v), r)
-            for m, w, v, r in zip(stack, *spectral, ranks.tolist())], spectral, certified, ranks
+    ranks = linalg.freeze((spectra.eigenvalues >= max(eig_tol, linalg.EIGENVALUE_TOL)).sum(axis=-1))
+    full = iter(spectra.eigenvectors)  # the uncertified effects', in order
+    decomposed = [None if c else next(full) for c in spectra.certified.tolist()]
+    effects = [Effect.__new__(Effect)._set(m, w, u, None if v is None else linalg.SpectralDecomposition(w, v), r)
+               for m, w, u, v, r in zip(stack, spectra.eigenvalues, spectra.top, decomposed, ranks.tolist())]
+    return effects, spectra, ranks
 
 
 def require_same_dim(a, b) -> None:
@@ -177,7 +196,7 @@ class State:
 
     def __init__(self, matrix, tol: float | None = None):
         stack = linalg.as_matrix(matrix)[None].copy()
-        low = linalg.hermitian_eigs(stack, tol)[0].eigenvalues[0, 0]
+        low = linalg.hermitian_eigs(stack, tol).eigenvalues[0, 0]
         mat_tol, eig_tol = linalg.tols(stack.shape[-1], tol)
         if not low >= -eig_tol:  # NaN fails too
             raise NotPositive(f"state eigenvalue {low:.3e} below -{eig_tol:.3e}")

@@ -10,12 +10,15 @@ R must be Hermitian in every bit) and the value-complementarity witness (its
 ``eigh`` reads one triangle; both count) symmetrize as well. Routines here
 assume nothing about physical meaning; the effect and observable layers build on top.
 
-One routine validates: ``hermitian_eigs`` decomposes an (m, d, d) stack (of effects, or
-a stack of one effect or state) into one stacked decomposition, eigenvalues (m, d) and
-eigenvectors (m, d, d): matrices it can certify as rank one within ``CERTIFICATE_TOL``
-get theirs in O(d^2) without ``eigh`` and are marked in a mask (only they may be read as
-their top eigenpair w v v* in closed forms); the rest go through ``eigh`` with the bits of
-``hermitian_eig``, ``eigh`` on one matrix: the reference, by which nothing validates.
+One routine validates: ``hermitian_eigs`` checks an (m, d, d) stack (of effects, or a
+stack of one effect or state) and finds every matrix's eigenvalues (m, d) and top unit
+eigenvector (m, d). Matrices it can certify as rank one within ``CERTIFICATE_TOL`` get
+both in O(d^2), without ``eigh``, and are marked in a mask (only they may be read as
+w v v* in closed forms); no other eigenvector of theirs is made. The rest go through
+``eigh`` with the bits of ``hermitian_eig``, ``eigh`` on one matrix: the reference, by
+which nothing validates. Their full eigenvectors are kept, one (u, d, d) array. The
+Householder unitary ending in a certified vector (``_unitary_ending_in``) is built only
+when ``Effect.spectral`` of that effect is read.
 """
 from __future__ import annotations
 
@@ -92,19 +95,21 @@ def freeze(m: np.ndarray) -> np.ndarray:
 
 def as_matrix(entries) -> np.ndarray:
     """Coerce ``entries`` to a validated, frozen square complex matrix."""
-    return freeze(_finite_square(np.array(entries, dtype=complex), 2, "a nonempty square matrix"))
+    m = _square(np.array(entries, dtype=complex), 2, "a nonempty square matrix")
+    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+        raise NonFinite("matrix entries must be finite")
+    return freeze(m)
 
 
 def as_stack(entries) -> np.ndarray:
-    """Coerce ``entries`` to a validated (m, d, d) complex stack: a writable copy, for ``hermitian_eigs``."""
-    return _finite_square(np.array(entries, dtype=complex), 3, "a stack of nonempty square matrices")
+    """Coerce ``entries`` to an (m, d, d) complex stack: a writable copy, for
+    ``hermitian_eigs``, which checks that its entries are finite."""
+    return _square(np.array(entries, dtype=complex), 3, "a stack of nonempty square matrices")
 
 
-def _finite_square(m: np.ndarray, ndim: int, expected: str) -> np.ndarray:
+def _square(m: np.ndarray, ndim: int, expected: str) -> np.ndarray:
     if m.ndim != ndim or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
         raise DimMismatch(f"expected {expected}, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-        raise NonFinite("matrix entries must be finite")
     return m
 
 
@@ -155,6 +160,15 @@ class SpectralDecomposition(NamedTuple):
     eigenvectors: np.ndarray
 
 
+class StackSpectra(NamedTuple):
+    """What ``hermitian_eigs`` finds of an (m, d, d) stack, all read-only."""
+
+    eigenvalues: np.ndarray   # (m, d): each matrix's, ascending
+    top: np.ndarray           # (m, d): each matrix's top unit eigenvector, of eigenvalues[:, -1]
+    certified: np.ndarray     # (m,) bool: within CERTIFICATE_TOL of eigenvalues[:, -1] top top*
+    eigenvectors: np.ndarray  # (u, d, d): the full eigenvectors of the u uncertified matrices, in order
+
+
 def hermitian_eig(m: np.ndarray, tol: float | None = None) -> SpectralDecomposition:
     """Spectral decomposition of a Hermitian matrix, by ``eigh``.
 
@@ -163,7 +177,7 @@ def hermitian_eig(m: np.ndarray, tol: float | None = None) -> SpectralDecomposit
     m : ndarray
         Square matrix, Hermitian within ``tol``. It is symmetrized before
         the solver runs so that both triangles contribute (see
-        ``_hermitian``).
+        ``_symmetrize_halves``).
     tol : float, optional
         Hermiticity tolerance; defaults to ``default_tol(dim)``.
 
@@ -180,90 +194,119 @@ def hermitian_eig(m: np.ndarray, tol: float | None = None) -> SpectralDecomposit
     NotHermitian
         If the asymmetry exceeds ``tol``; the message carries the defect.
     """
-    w, v = np.linalg.eigh(_hermitian(m, tols(m.shape[0], tol)[0]))
+    h = m * 0.5
+    _check_defect(_symmetrize_halves(h), tols(m.shape[0], tol)[0])
+    w, v = np.linalg.eigh(h)
     return SpectralDecomposition(freeze(w), freeze(v))
 
 
-def hermitian_eigs(stack: np.ndarray, tol: float | None = None
-                   ) -> tuple[SpectralDecomposition, np.ndarray]:
-    """Spectral decomposition of every matrix in an (m, d, d) stack.
+def hermitian_eigs(stack: np.ndarray, tol: float | None = None) -> StackSpectra:
+    """Eigenvalues and top eigenvectors of every matrix in an (m, d, d) stack.
 
-    Each matrix must be Hermitian within the matrix tolerance of ``tol``
-    (``tols``) and is symmetrized to H = (M + M*) / 2 as in ``hermitian_eig``, in place:
-    ``stack`` must be writable, as from ``as_stack``, and is left frozen. Then, at once:
+    Each matrix must be finite and Hermitian within the matrix tolerance of ``tol``
+    (``tols``), and is symmetrized to H = (M + M*) / 2 as in ``hermitian_eig``, in place:
+    ``stack`` must be writable, as from ``as_stack``, and is left frozen. A tile of
+    ``blocks`` at a time, the tile is halved in place, its defect max |M - M*| taken and H
+    written; then:
 
-    * **Gate.** H is a rank-one candidate when max |H_ij| <= 1 + eig_tol
-      and 0 < tr H <= 1 + eig_tol, eig_tol being the eigenvalue tolerance
-      of ``tol``. Every rank-one effect passes; effects of trace 2 or more
-      fail here, and entries near the float limit never reach the sums.
-    * **Certificate.** With j the largest diagonal entry, v = H[:, j] /
-      sqrt(H_jj) and R = H - v v*, H is certified when ||R||_F is at most
-      min(CERTIFICATE_TOL, eig_tol). By Weyl's inequality every eigenvalue
-      of H then lies within ||R||_F of (0, ..., 0, ||v||^2), which is the
-      spectrum returned. The eigenvectors are one Householder reflector
-      with its last column set to v / ||v||: unitary, O(d^2).
-    * **Fallback.** Every other matrix goes through ``eigh`` on the same
-      H, so its decomposition has the bits ``hermitian_eig`` gives.
+    * **Gate.** max |H_ij| of every matrix, which NaN and inf carry through, so a
+      non-finite entry raises ``NonFinite`` here, before any ``NotHermitian``. H is a
+      rank-one candidate when max |H_ij| <= 1 + eig_tol and 0 < tr H <= 1 + eig_tol,
+      eig_tol being the eigenvalue tolerance of ``tol``. Every rank-one effect passes;
+      effects of trace 2 or more fail here, and entries near the float limit never
+      reach the sums.
+    * **Certificate.** With j the largest diagonal entry, v = H[:, j] / sqrt(H_jj) and
+      R = H - v v*, written into scratch made once per stack, H is certified when ||R||_F
+      is at most min(CERTIFICATE_TOL, eig_tol). By Weyl's inequality every eigenvalue of
+      H then lies within ||R||_F of (0, ..., 0, ||v||^2), which is the spectrum returned,
+      and v / ||v|| is its top vector: O(d^2), and no other eigenvector is made.
+    * **Fallback.** Every other matrix goes through ``eigh`` on the same H, a tile at a
+      time into one (u, d, d) array, so its decomposition has the bits ``hermitian_eig``
+      gives. Its top vector is the last column, a view when no matrix is certified.
 
-    Works a tile of ``blocks`` at a time and returns one read-only ``SpectralDecomposition``
-    of the whole stack: eigenvalues (m, d), each row ascending, and eigenvectors (m, d, d),
-    whose k-th matrix belongs to the k-th row; and a read-only (m,) bool mask, true exactly
-    for the certified matrices. Raises ``NotHermitian`` for the first matrix whose asymmetry
-    exceeds the tolerance.
+    Returns one read-only ``StackSpectra``. Of the first tile with an invalid matrix, raises
+    ``NonFinite`` if one is not finite, else ``NotHermitian`` for the first too asymmetric.
     """
     mat_tol, eig_tol = tols(stack.shape[-1], tol)
     w = np.zeros(stack.shape[:-1])
-    v = np.empty_like(stack)
     certified = np.zeros(len(stack), dtype=bool)
-    for xs, _ in blocks(len(stack), 1, stack.shape[-1]):
-        _chunk_eigs(stack[xs], mat_tol, eig_tol, w[xs], v[xs], certified[xs])
+    top = None  # made at the first certificate
+    tiles = list(blocks(len(stack), 1, stack.shape[-1]))
+    adj = np.empty_like(stack[tiles[0][0]] if tiles else stack)  # scratch for every tile: M*, M - M*, R
+    scratch = (adj, np.empty_like(adj), np.empty(adj.shape))
+    for xs, _ in tiles:
+        done, u = _certify(stack[xs], mat_tol, eig_tol, w[xs], scratch)
+        if len(done):
+            if top is None:
+                top = np.empty(stack.shape[:-1], dtype=complex)
+            top[xs][done], certified[xs][done] = u, True
+    del adj, scratch  # before the eigenvectors are made
     freeze(stack)
-    return SpectralDecomposition(freeze(w), freeze(v)), freeze(certified)
+    rest = np.flatnonzero(~certified)
+    v = np.empty((len(rest), *stack.shape[1:]), dtype=complex)
+    for ks, _ in blocks(len(rest), 1, stack.shape[-1]):
+        rows = ks if top is None else rest[ks]  # with no certificate, rest is every row
+        w[rows], v[ks] = np.linalg.eigh(stack[rows])
+    if top is None:
+        top = v[:, :, -1]
+    else:
+        top[rest] = v[:, :, -1]
+    return StackSpectra(freeze(w), freeze(top), freeze(certified), freeze(v))
 
 
-def _chunk_eigs(h: np.ndarray, mat_tol: float, eig_tol: float, w: np.ndarray, v: np.ndarray,
-                certified: np.ndarray) -> None:
-    """``hermitian_eigs`` of one chunk of its stack, symmetrized in place to H
-    first, written into ``w`` (zeros on entry), ``v`` and ``certified`` (false on entry)."""
-    _hermitian(h, mat_tol, out=h)
+def _certify(h: np.ndarray, mat_tol: float, eig_tol: float, w: np.ndarray,
+             scratch: tuple[np.ndarray, np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray | None]:
+    """``hermitian_eigs``' pass over one tile: symmetrize it in place to H, check it, and
+    certify what it can, in ``scratch`` (two complex buffers and a real one, of at least
+    the tile's shape). Writes the certified spectra into ``w`` (zeros on entry) and
+    returns their rows in the tile and their top unit vectors (K, d), None with no candidate."""
+    adj, work, mag = (buf[:len(h)] for buf in scratch)
+    with np.errstate(invalid="ignore"):  # inf * (0.5 + 0j) and inf - inf: NaN, raised below
+        defect = _symmetrize_halves(np.multiply(h, 0.5, out=h), adj, work, mag)
+        peak = np.abs(h, out=mag).max(axis=(-2, -1))  # max_abs_each
+    if not peak.max() < math.inf:  # NaN fails too
+        raise NonFinite("matrix entries must be finite")
+    _check_defect(defect, mat_tol)
     diag = np.diagonal(h, axis1=-2, axis2=-1).real
-    cand = np.flatnonzero(max_abs_each(h) <= 1.0 + eig_tol)
+    cand = np.flatnonzero(peak <= 1.0 + eig_tol)
     traces = diag[cand].sum(axis=-1)
     cand = cand[(traces > 0.0) & (traces <= 1.0 + eig_tol)]
     if not len(cand):
-        w[:], v[:] = np.linalg.eigh(h)
-        return
+        return cand, None
     j = diag[cand].argmax(axis=-1)
     col = h[cand, :, j] / np.sqrt(diag[cand, j])[:, None]
-    resid = real_rows(col[:, :, None] * col.conj()[:, None, :] - h[cand])
+    resid = np.multiply(col[:, :, None], col.conj()[:, None, :], out=work[:len(cand)])
+    np.subtract(resid, h if len(cand) == len(h) else h[cand], out=resid)
+    resid = real_rows(resid)
     ok = np.einsum("ki,ki->k", resid, resid) <= min(CERTIFICATE_TOL, eig_tol) ** 2
     done, col = cand[ok], col[ok]
     norm2 = np.einsum("ki,ki->k", col.conj(), col).real
     w[done, -1] = norm2
-    v[done] = _unitary_ending_in(col / np.sqrt(norm2)[:, None])
-    certified[done] = True
-    rest = ~certified
-    if rest.any():
-        w[rest], v[rest] = np.linalg.eigh(h[rest])
+    return done, col / np.sqrt(norm2)[:, None]
 
 
-def _hermitian(m: np.ndarray, tol: float, out: np.ndarray | None = None) -> np.ndarray:
-    """(M + M*) / 2 of a matrix or of every matrix in a stack, after
-    checking max |M - M*| <= tol for each; into ``out`` when given.
+def _symmetrize_halves(half: np.ndarray, adj: np.ndarray | None = None, work: np.ndarray | None = None,
+                       mag: np.ndarray | None = None) -> np.ndarray:
+    """For the halves M / 2 of a matrix or of every matrix in a stack, written in a
+    writable array, write (M + M*) / 2 over them and return each matrix's max |M - M*| / 2;
+    into the C-ordered scratch ``adj`` and ``work`` (complex) and ``mag`` (real) when given.
 
-    It halves first, so entries near the float limit cannot overflow into
-    a NaN spectrum. Halving is exact above the subnormal range, so the
-    defect has the bits of max |M - M*| and the result those of
-    (M + M*) / 2.
+    Halving first keeps entries near the float limit from overflowing into a NaN
+    spectrum. Halving is exact above the subnormal range, so the defect has the bits
+    of max |M - M*| / 2 and the result those of (M + M*) / 2.
     """
-    half = m * 0.5
-    half_adj = np.conjugate(np.swapaxes(half, -1, -2))
-    half_defect = max_abs_each(half - half_adj)
-    bad = np.flatnonzero(half_defect > tol / 2.0)
-    if len(bad):
-        defect = 2.0 * float(half_defect.flat[bad[0]])  # a Python float: inf, not a warning
+    adj = np.conjugate(np.swapaxes(half, -1, -2), out=adj)
+    defect = np.abs(np.subtract(half, adj, out=work), out=mag).max(axis=(-2, -1))  # max_abs_each
+    np.add(half, adj, out=half)
+    return defect
+
+
+def _check_defect(half_defect: np.ndarray, tol: float) -> None:
+    """Raise ``NotHermitian`` for the first matrix whose asymmetry exceeds ``tol``."""
+    bad = half_defect > tol / 2.0
+    if bad.any():
+        defect = 2.0 * float(half_defect.flat[bad.argmax()])  # the first; a Python float: inf, not a warning
         raise NotHermitian(f"max asymmetry {defect:.3e} exceeds tol {tol:.3e}")
-    return np.add(half, half_adj, out=out)
 
 
 def _unitary_ending_in(u: np.ndarray) -> np.ndarray:

@@ -9,10 +9,13 @@ with a 10x looser tolerance, since each entry accumulates roundoff from up
 to m*n sequential products. Predicates compare the unvalidated products of
 ``products`` instead: products and sums of valid effects need no second check.
 
-Every observable is one validated (m, d, d) stack, and the stacked decomposition,
-certified mask and factor ranks its validation produced (``effects.effects_of``): each
-effect is a view of the stack and decomposition. An ``Effect`` given to ``Observable``
-counts as its matrix and is validated again, under the observable's tolerance.
+Every observable is one validated (m, d, d) stack, and the eigenvalues (m, d), top unit
+eigenvectors (m, d), certified mask and factor ranks its validation produced
+(``effects.effects_of``): each effect is a view of them, and of its full eigenvectors when
+it is not certified (a certified one builds them only if ``Effect.spectral`` is read). So
+it holds its stack, O(m d) numbers more and the eigenvectors of its uncertified effects.
+An ``Effect`` given to ``Observable`` counts as its matrix and is validated again, under
+the observable's tolerance.
 
 ``products`` makes every sequential product of a pair by the paper's taxonomy of ranks
 (``Observable.ranks``): a rank-one effect as a line (``line_table``, which owns c_xy), a
@@ -35,7 +38,7 @@ the (m, d, d) stacks; the (m, n, d, d) array of all products is never built.
   are compressed to k x k: where the subspace is a factored effect's kept range, the
   pass's own C_xy, a block of outcomes at a time, else one outcome at a time.
 * ``trace_table`` and the line table's forms are one d x d Gram GEMM of top
-  eigenvectors where every effect they read is certified, else one real GEMM of the
+  vectors where every effect they read is certified, else one real GEMM of the
   flattened stacks (``linalg.frobenius``).
 
 Products are plain ``@``. Splitting the trace-table product into calls small enough
@@ -76,7 +79,7 @@ PRODUCT_SEP = "⊗"  # the symbol joining outcome labels of a product observable
 class Observable:
     """Effects A_x indexed by string outcome labels, with sum(A_x) = I."""
 
-    __slots__ = ("outcomes", "effects", "dim", "_stack", "_spectral", "_certified", "_ranks")
+    __slots__ = ("outcomes", "effects", "dim", "_stack", "_eigenvalues", "_top", "_certified", "_ranks")
 
     def __init__(self, outcomes: Sequence[str], effects, tol: float | None = None):
         labels = tuple(str(x) for x in outcomes)
@@ -87,7 +90,8 @@ class Observable:
             raise LabelMismatch(f"{len(labels)} labels for {len(effects)} effects")
         if not labels:
             raise LabelMismatch("observable needs at least one outcome")
-        self._stack, validated, self._spectral, self._certified, self._ranks = _validated(labels, effects, tol)
+        self._stack, validated, spectra, self._ranks = _validated(labels, effects, tol)
+        self._eigenvalues, self._top, self._certified = spectra.eigenvalues, spectra.top, spectra.certified
         dim = self._stack.shape[-1]
         mat_tol, _ = linalg.tols(dim, tol)
         defect = linalg.max_abs(self._stack.sum(axis=0) - np.eye(dim))
@@ -116,8 +120,8 @@ class Observable:
 
     def spectra(self) -> np.ndarray:
         """Every effect's eigenvalues, ascending, as one read-only (m, d)
-        array: the stacked decomposition's, whose views they are."""
-        return self._spectral.eigenvalues
+        array, whose views they are."""
+        return self._eigenvalues
 
     def ranks(self) -> np.ndarray:
         """Every effect's rank r_x as its square root sees it (``Effect.factor``), one read-only (m,)
@@ -139,9 +143,9 @@ class Observable:
 
 
 def _validated(labels: tuple[str, ...], effects, tol: float | None
-               ) -> tuple[np.ndarray, list[Effect], linalg.SpectralDecomposition, np.ndarray, np.ndarray]:
-    """The matrices as one validated stack, their effects, the stack's decomposition,
-    certified mask and ranks (``effects_of``). An ``Effect`` counts as its matrix.
+               ) -> tuple[np.ndarray, list[Effect], linalg.StackSpectra, np.ndarray]:
+    """The matrices as one validated stack, their effects, the stack's spectra and
+    ranks (``effects_of``). An ``Effect`` counts as its matrix.
 
     When the stacked pass raises, the matrices go one by one, in order, so
     that an error names the first invalid outcome; if every one is valid,
@@ -217,8 +221,8 @@ def line_table(a: Observable, b: Observable) -> LineTable:
     """The line table of the ordered pair (A, B), of one dimension.
 
     A_x is rank one when ``Observable.ranks`` says so (the rank of ``Effect.factor``);
-    v is its one eigenvector above the zero band, the last column, read from the
-    eigenvector stack, and w_x its top eigenvalue. The forms are one Gram GEMM
+    v is its one eigenvector above the zero band, the top vector that validation kept,
+    and w_x its top eigenvalue. The forms are one Gram GEMM
     (``certified_forms``) when all of B and A's lines are certified, else
     one real GEMM of B's stack against the lines' (K, d, d) projection stack
     (``linalg.frobenius``), made for that product and dropped. The table owns
@@ -226,7 +230,7 @@ def line_table(a: Observable, b: Observable) -> LineTable:
     """
     require_same_dim(a, b)
     index = (a.ranks() == 1).nonzero()[0]
-    vectors = a._spectral.eigenvectors[index, :, -1].T
+    vectors = a._top[index].T
     if b._certified.all() and a._certified[index].all():
         forms = certified_forms(b, vectors)
     else:
@@ -266,7 +270,7 @@ def compressions(a: Observable, b: Observable) -> tuple[Compressions, ...]:
     for k, index in sorted(groups.items()):
         if len(index) < 2 and len(b) * d * d < linalg._CHUNK_ENTRIES:
             continue
-        vectors = a._spectral.eigenvectors[index, :, d - k:]
+        vectors = np.stack([a.effects[x].spectral.eigenvectors[:, d - k:] for x in index])  # uncertified: k > 1
         adjoints = vectors.conj().swapaxes(-1, -2)
         matrices = np.empty((len(index), len(b), k, k), dtype=complex)
         for xs, ys in linalg.blocks(len(index), len(b), d):
@@ -278,7 +282,7 @@ def compressions(a: Observable, b: Observable) -> tuple[Compressions, ...]:
 def certified_forms(b: Observable, vectors: np.ndarray) -> np.ndarray:
     """Re <B_y, v v*> = w'_y |<u_y, v>|^2 (n, K) for the effects of ``b``, all certified
     as their top eigenpairs w'_y u_y u_y*, and unit columns v of ``vectors`` (d, K)."""
-    gram = b._spectral.eigenvectors[:, :, -1].conj() @ vectors
+    gram = b._top.conj() @ vectors
     return b.spectra()[:, -1, None] * (gram.real ** 2 + gram.imag ** 2)
 
 
@@ -288,7 +292,7 @@ def trace_table(a: Observable, b: Observable) -> np.ndarray:
     Re <A_x, B_y> (``linalg.frobenius``), which is Re tr(A_x B_y) for Hermitian stacks."""
     require_same_dim(a, b)
     if a._certified.all() and b._certified.all():
-        return (certified_forms(b, a._spectral.eigenvectors[:, :, -1].T) * a.spectra()[:, -1]).T
+        return (certified_forms(b, a._top.T) * a.spectra()[:, -1]).T
     return linalg.frobenius(a.stack(), b.stack())
 
 

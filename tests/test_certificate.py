@@ -55,8 +55,9 @@ def eigh_only(stack, tol=None):
     w, v = zip(*(linalg.hermitian_eig(m, mat_tol) for m in stack))
     stack[:] = hermitian_formula(stack)
     linalg.freeze(stack)
-    spectral = linalg.SpectralDecomposition(linalg.freeze(np.stack(w)), linalg.freeze(np.stack(v)))
-    return spectral, linalg.freeze(np.zeros(len(stack), dtype=bool))
+    v = linalg.freeze(np.stack(v))
+    return linalg.StackSpectra(linalg.freeze(np.stack(w)), v[:, :, -1],
+                               linalg.freeze(np.zeros(len(stack), dtype=bool)), v)
 
 
 def _projection(u):
@@ -101,22 +102,25 @@ def test_certificate_matches_eigh(kind, dim, seed, tol, weight, sign):
         weight = min(weight, 0.5)
     m = linalg.as_matrix(_input(kind, dim, np.random.default_rng(seed), tol, weight, sign))
     with eigh_matrices() as seen:
-        spectral, certified = linalg.hermitian_eigs(m[None].copy(), tol)
-    got = linalg.SpectralDecomposition(*(x[0] for x in spectral))
+        spectra = linalg.hermitian_eigs(m[None].copy(), tol)
     ref = linalg.hermitian_eig(m, linalg.tols(dim, tol)[0])
     assert (sum(seen) == 0) == CERTIFIED[kind]
+    certified, w, u = spectra.certified, spectra.eigenvalues[0], spectra.top[0]
     assert certified.dtype == bool and certified.tolist() == [CERTIFIED[kind]]
     assert not certified.flags.writeable
     if not CERTIFIED[kind]:
-        assert np.array_equal(got.eigenvalues, ref.eigenvalues)
-        assert np.array_equal(got.eigenvectors, ref.eigenvectors)
+        assert np.array_equal(w, ref.eigenvalues)
+        assert np.array_equal(spectra.eigenvectors, ref.eigenvectors[None])
+        assert np.array_equal(u, ref.eigenvectors[:, -1])
         return
-    w, v = got
+    assert spectra.eigenvectors.shape == (0, dim, dim)  # no unitary is made
+    v = linalg._unitary_ending_in(spectra.top)[0]  # as ``Effect.spectral`` builds it
+    assert np.array_equal(v[:, -1], u)
     assert np.all(w[:-1] == 0.0)
     assert np.max(np.abs(w - ref.eigenvalues)) <= 2e-15  # eigh alone is off by up to 1.1e-15
     assert linalg.max_abs((v * w) @ v.conj().T - m) <= 1e-15 * dim
     assert linalg.max_abs(v.conj().T @ v - np.eye(dim)) <= 1e-15 * dim
-    assert not w.flags.writeable and not v.flags.writeable
+    assert not w.flags.writeable and not u.flags.writeable
 
 
 @settings(max_examples=60, deadline=None)
@@ -196,11 +200,10 @@ def test_effects_are_views_of_the_validated_stack():
 
 def test_certified_eigenvector_is_the_normalized_column():
     v = random_unitary(4, 8)[:, 2] * 0.6
-    spectral, certified = linalg.hermitian_eigs(linalg.as_stack([np.outer(v, v.conj())]))
-    got = linalg.SpectralDecomposition(*(x[0] for x in spectral))
-    assert certified.tolist() == [True]
-    u = got.eigenvectors[:, -1]
-    assert got.eigenvalues[-1] == pytest.approx(0.36, abs=1e-15)
+    spectra = linalg.hermitian_eigs(linalg.as_stack([np.outer(v, v.conj())]))
+    assert spectra.certified.tolist() == [True]
+    u = spectra.top[0]
+    assert spectra.eigenvalues[0, -1] == pytest.approx(0.36, abs=1e-15)
     # the certified column is v / |v| up to the phase of v's largest entry
     assert abs(abs(np.vdot(u, v / np.linalg.norm(v))) - 1.0) <= 1e-15
 

@@ -241,7 +241,10 @@ def test_hermitian_eigs_past_one_matrix_a_tile_matches_stacks_of_one():
     stack = np.stack([np.outer(u[:, 0], u[:, 0].conj()), np.outer(u[:, 1], u[:, 1].conj()),
                       random_observable(129, 2, "unsharp", rng).effects[0].matrix])
     alone = [linalg.hermitian_eigs(m[None].copy()) for m in stack]
-    (w, v), certified = linalg.hermitian_eigs(stack.copy())
-    assert certified.tolist() == [True, True, False]
-    for k, ((w1, v1), c1) in enumerate(alone):
-        assert w[k].tobytes() == w1.tobytes() and v[k].tobytes() == v1.tobytes() and certified[k] == c1[0]
+    got = linalg.hermitian_eigs(stack.copy())
+    assert got.certified.tolist() == [True, True, False]
+    for k, one in enumerate(alone):
+        assert got.eigenvalues[k].tobytes() == one.eigenvalues.tobytes()
+        assert got.top[k].tobytes() == one.top.tobytes() and got.certified[k] == one.certified[0]
+    # full eigenvectors of the uncertified matrix only, in stack order
+    assert got.eigenvectors.tobytes() == b"".join(one.eigenvectors.tobytes() for one in alone)
