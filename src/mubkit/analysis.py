@@ -41,7 +41,7 @@ from typing import Any
 import numpy as np
 
 from . import linalg
-from .effects import require_same_dim
+from .effects import atomic_spectra, require_same_dim, unit_mask
 from .errors import InternalInconsistency, NotAtomic
 from .observables import (
     Observable,
@@ -100,18 +100,20 @@ class PartitionCriterion:
     products: tuple[int, ...]
 
 
-def _first_near_max(values: np.ndarray) -> int:
-    """The first index in C order within TIE_ULPS ulps of the maximum: rounding picks no tie."""
-    return int(np.argmax(values >= values.max() - TIE_ULPS * np.spacing(values.max())))
+def _first_near_max(values: np.ndarray, top: float | None = None) -> int:
+    """The first index in C order within TIE_ULPS ulps of the maximum ``top`` (found here
+    when not given): rounding picks no tie."""
+    top = np.maximum.reduce(values, axis=None) if top is None else top
+    return int((values >= top - TIE_ULPS * np.spacing(top)).argmax())
 
 
 def _verdict(devs: np.ndarray, mat_tol: float, witness) -> Verdict:
     """The verdict of a nonempty deviation array, whose maximum is ``max_deviation``. Above
     ``mat_tol`` it names ``witness(index, deviation)`` at ``_first_near_max``."""
-    worst = float(devs.max())
+    worst = float(np.maximum.reduce(devs, axis=None))
     if worst <= mat_tol:
         return Verdict(True, worst)
-    k = _first_near_max(devs)
+    k = _first_near_max(devs, worst)
     return Verdict(False, worst, witness(k, float(devs.flat[k])))
 
 
@@ -166,26 +168,26 @@ def check_condition2(a: Observable, b: Observable, tol: float | None = None) -> 
     return _product_verdicts(a, b, (products(a, b), products(b, a)), linalg.tols(a.dim, tol)[0])[1]
 
 
-def _complementarity_verdict(a: Observable, b: Observable, tol: float | None, tables: tuple,
-                             comps: tuple) -> Verdict:
-    """Value complementarity, from the line tables and compressions of (A, B) and (B, A).
-    Its deviations run side A, then side B: each x in order, over the other side's y."""
-    mat_tol, eig_tol = linalg.tols(a.dim, tol)
+def _complementarity_verdict(a: Observable, b: Observable, mat_tol: float, units: tuple,
+                             tables: tuple, comps: tuple) -> Verdict:
+    """Value complementarity, from the unit masks (``unit_mask`` at the eigenvalue tolerance),
+    line tables and compressions of (A, B) and (B, A). Its deviations run side A, then side B:
+    each x in order, over the other side's y."""
     sides = (("A", a, b), ("B", b, a))
-    units = [np.abs(obs.spectra() - 1.0) <= eig_tol for obs in (a, b)]
     if not (units[0].any() or units[1].any()):
         return Verdict(True, 0.0, None, vacuous=True)
 
     def witness(k, dev):
-        side, first, second = sides[k // (len(a) * len(b))]
-        x, y = divmod(k % (len(a) * len(b)), len(second))
-        target = 1.0 / len(second)
-        basis = first.effects[x].unit_eigenspace(eig_tol)
+        s, k = divmod(k, len(a.outcomes) * len(b.outcomes))
+        side, first, second = sides[s]
+        x, y = divmod(k, len(second.outcomes))
+        target = 1.0 / len(second.outcomes)
+        basis = first.effects[x].spectral.eigenvectors[:, units[s][x]]  # its unit_eigenspace
         compressed = basis.conj().T @ second.effects[y].matrix @ basis
         w, v = np.linalg.eigh((compressed + compressed.conj().T) / 2.0)  # both triangles count (``linalg``)
         j = _first_near_max(np.abs(w - target))  # ascending: the lowest of tied extremes
         return {"side": side, "certain_outcome": first.outcomes[x], "other_outcome": second.outcomes[y],
-                "state": tuple((float(z.real), float(z.imag)) for z in basis @ v[:, j]),
+                "state": tuple((z.real, z.imag) for z in (basis @ v[:, j]).tolist()),
                 "observed": float(w[j]), "target": target}
     devs = [certainty_deviations(first, second, u, table, made)
             for (_, first, second), u, table, made in zip(sides, units, tables, comps)]
@@ -209,7 +211,9 @@ def check_value_complementary(a: Observable, b: Observable,
     tied up to rounding, the lowest), together with the probability it observes.
     """
     require_same_dim(a, b)
-    return _complementarity_verdict(a, b, tol, (line_table(a, b), line_table(b, a)),
+    mat_tol, eig_tol = linalg.tols(a.dim, tol)
+    units = unit_mask(a.spectra(), eig_tol), unit_mask(b.spectra(), eig_tol)
+    return _complementarity_verdict(a, b, mat_tol, units, (line_table(a, b), line_table(b, a)),
                                     (compressions(a, b), compressions(b, a)))
 
 
@@ -268,11 +272,12 @@ def classify_pair(a: Observable, b: Observable, tol: float | None = None) -> Pai
     """
     require_same_dim(a, b)
     mat_tol, eig_tol = linalg.tols(a.dim, tol)
+    units = unit_mask(a.spectra(), eig_tol), unit_mask(b.spectra(), eig_tol)
     table = trace_table(a, b)
-    both_atomic = a.is_atomic(eig_tol) and b.is_atomic(eig_tol)
+    both_atomic = atomic_spectra(a.spectra(), eig_tol, units[0]) and atomic_spectra(b.spectra(), eig_tol, units[1])
     mu = _trace_verdict(a, b, table, 1.0 / a.dim, mat_tol) if both_atomic else None
     passes = products(a, b), products(b, a)
-    vc = _complementarity_verdict(a, b, tol, (passes[0].lines, passes[1].lines),
+    vc = _complementarity_verdict(a, b, mat_tol, units, (passes[0].lines, passes[1].lines),
                                   (passes[0].compressions, passes[1].compressions))
     c1, c2 = _product_verdicts(a, b, passes, mat_tol)
     gmu = _trace_verdict(a, b, table, forced_alpha(a, b), mat_tol)

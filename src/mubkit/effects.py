@@ -19,7 +19,8 @@ class Effect:
     """A Hermitian operator with spectrum inside [0, 1] (within tolerance).
 
     Validation happens once, at construction, through ``linalg.hermitian_eigs``
-    (a stack of one here; ``effects_of`` validates a whole stack): rank-one
+    (a stack of one here, of one private copy, ``linalg.as_one``; ``effects_of``
+    validates a whole stack): rank-one
     effects are certified without ``eigh``. Its eigenvalues and top eigenvector
     are kept on the instance, with the full eigenvectors of an uncertified
     effect, so later predicate and square root calls never re-diagonalize.
@@ -29,7 +30,7 @@ class Effect:
     __slots__ = ("matrix", "_eigenvalues", "_top", "_spectral", "_rank", "_factor", "_sqrt", "_complement")
 
     def __init__(self, matrix, tol: float | None = None):
-        (checked,), *_ = effects_of(linalg.as_matrix(matrix)[None].copy(), tol)
+        (checked,), *_ = effects_of(linalg.as_one(matrix), tol)
         self._set(checked.matrix, checked._eigenvalues, checked._top, checked._spectral, checked._rank)
 
     def _set(self, m: np.ndarray, w: np.ndarray, top: np.ndarray,
@@ -114,7 +115,7 @@ class Effect:
         """Orthonormal basis (d x k, possibly k = 0) of the eigenvalue-1 eigenspace."""
         _, tol = linalg.tols(self.dim, tol)
         w, v = self.spectral
-        return v[:, np.abs(w - 1.0) <= tol]
+        return v[:, unit_mask(w, tol)]
 
     def __repr__(self) -> str:
         return f"Effect(dim={self.dim})"
@@ -158,11 +159,17 @@ def sharp_spectra(w: np.ndarray, tol: float) -> bool:
     return bool(np.all((np.abs(w) <= tol) | (np.abs(w - 1.0) <= tol)))
 
 
-def atomic_spectra(w: np.ndarray, tol: float) -> bool:
+def unit_mask(w: np.ndarray, tol: float) -> np.ndarray:
+    """Which eigenvalues in ``w`` sit at 1 within ``tol``: the certainty subspaces."""
+    return np.abs(w - 1.0) <= tol
+
+
+def atomic_spectra(w: np.ndarray, tol: float, units: np.ndarray | None = None) -> bool:
     """Whether every spectrum in ``w`` (along its last axis) is sharp with
-    exactly one eigenvalue at 1 within ``tol``."""
-    units = np.abs(w - 1.0) <= tol
-    return sharp_spectra(w, tol) and bool(np.all(units.sum(axis=-1) == 1))
+    exactly one eigenvalue at 1 within ``tol``; ``units`` is ``unit_mask(w, tol)``
+    when the caller has it."""
+    units = unit_mask(w, tol) if units is None else units
+    return bool((units.sum(axis=-1) == 1).all() and ((np.abs(w) <= tol) | units).all())
 
 
 def seq_matrix(a: Effect, b: Effect) -> np.ndarray:
@@ -195,7 +202,7 @@ class State:
     __slots__ = ("matrix",)
 
     def __init__(self, matrix, tol: float | None = None):
-        stack = linalg.as_matrix(matrix)[None].copy()
+        stack = linalg.as_one(matrix)
         low = linalg.hermitian_eigs(stack, tol).eigenvalues[0, 0]
         mat_tol, eig_tol = linalg.tols(stack.shape[-1], tol)
         if not low >= -eig_tol:  # NaN fails too

@@ -93,12 +93,10 @@ def freeze(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def as_matrix(entries) -> np.ndarray:
-    """Coerce ``entries`` to a validated, frozen square complex matrix."""
-    m = _square(np.array(entries, dtype=complex), 2, "a nonempty square matrix")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-        raise NonFinite("matrix entries must be finite")
-    return freeze(m)
+def as_one(entries) -> np.ndarray:
+    """Coerce ``entries`` to one square complex matrix as a writable (1, d, d) stack: one
+    copy, for ``hermitian_eigs``, which checks that its entries are finite."""
+    return _square(np.array(entries, dtype=complex), 2, "a nonempty square matrix")[None]
 
 
 def as_stack(entries) -> np.ndarray:
@@ -124,7 +122,7 @@ def max_abs(m: np.ndarray) -> float:
 
 def max_abs_each(stack: np.ndarray) -> np.ndarray:
     """``max_abs`` of every matrix in a stack: shape (n, d, d) gives (n,)."""
-    return np.abs(stack).max(axis=(-2, -1))
+    return np.maximum.reduce(np.abs(stack), axis=(-2, -1))
 
 
 def projections(vectors: np.ndarray) -> np.ndarray:

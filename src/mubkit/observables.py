@@ -43,6 +43,10 @@ the (m, d, d) stacks; the (m, n, d, d) array of all products is never built.
 
 Products are plain ``@``. Splitting the trace-table product into calls small enough
 for OpenBLAS to run on one thread was measured and gave no gain, at d = 32 or 64.
+
+On small pairs numpy's fixed cost per call, not flops, sets the time, so a pass makes no call
+whose result it knows: with no line or nothing to factor, the empty line table or no
+compressions come back at once. Every bit is kept; the README gives the costs.
 """
 from __future__ import annotations
 
@@ -79,7 +83,7 @@ PRODUCT_SEP = "⊗"  # the symbol joining outcome labels of a product observable
 class Observable:
     """Effects A_x indexed by string outcome labels, with sum(A_x) = I."""
 
-    __slots__ = ("outcomes", "effects", "dim", "_stack", "_eigenvalues", "_top", "_certified", "_ranks")
+    __slots__ = ("outcomes", "effects", "dim", "_stack", "_eigenvalues", "_top", "_certified", "_vectors", "_ranks")
 
     def __init__(self, outcomes: Sequence[str], effects, tol: float | None = None):
         labels = tuple(str(x) for x in outcomes)
@@ -91,7 +95,7 @@ class Observable:
         if not labels:
             raise LabelMismatch("observable needs at least one outcome")
         self._stack, validated, spectra, self._ranks = _validated(labels, effects, tol)
-        self._eigenvalues, self._top, self._certified = spectra.eigenvalues, spectra.top, spectra.certified
+        self._eigenvalues, self._top, self._certified, self._vectors = spectra
         dim = self._stack.shape[-1]
         mat_tol, _ = linalg.tols(dim, tol)
         defect = linalg.max_abs(self._stack.sum(axis=0) - np.eye(dim))
@@ -227,9 +231,15 @@ def line_table(a: Observable, b: Observable) -> LineTable:
     one real GEMM of B's stack against the lines' (K, d, d) projection stack
     (``linalg.frobenius``), made for that product and dropped. The table owns
     the coefficients c_xy = w_x forms that ``products`` and ``_summed`` read.
+
+    With no rank-one effect the table is empty, in the shapes and dtypes the GEMM would give,
+    and is returned before any test or product (about 9 us a pass at d <= 16).
     """
     require_same_dim(a, b)
     index = (a.ranks() == 1).nonzero()[0]
+    if not len(index):  # no line: the empty table, without the tests and GEMM that would make it
+        empty = np.empty((len(b.outcomes), 0))
+        return LineTable(index, np.empty((a.dim, 0), dtype=complex), empty, empty)
     vectors = a._top[index].T
     if b._certified.all() and a._certified[index].all():
         forms = certified_forms(b, vectors)
@@ -258,7 +268,7 @@ def compressions(a: Observable, b: Observable) -> tuple[Compressions, ...]:
     dense lift. Each numpy call makes a tile of products of one rank (``linalg.blocks``):
     per (x, y) the GEMMs U_x* @ B_y and then @ U_x of one outcome's shapes, so these are the
     bits of one outcome's products. (OpenBLAS rounds an entry by the GEMM's width, so a block
-    padded to a larger rank would move them.)
+    padded to a larger rank would move them.) With nothing to factor it returns () before any array work.
     """
     require_same_dim(a, b)
     d = a.dim
@@ -266,16 +276,20 @@ def compressions(a: Observable, b: Observable) -> tuple[Compressions, ...]:
     for x, r in enumerate(a.ranks().tolist()):
         if 1 < r and r * (r + d) < d * d:
             groups.setdefault(r, []).append(x)
+    fits = len(b.outcomes) * d * d < linalg._CHUNK_ENTRIES  # then a rank held once stays dense
+    groups = {k: index for k, index in groups.items() if len(index) > 1 or not fits}
+    if not groups:
+        return ()
+    rows = np.cumsum(~a._certified) - 1  # of each effect in the uncertified effects' eigenvector stack
     out = []
     for k, index in sorted(groups.items()):
-        if len(index) < 2 and len(b) * d * d < linalg._CHUNK_ENTRIES:
-            continue
-        vectors = np.stack([a.effects[x].spectral.eigenvectors[:, d - k:] for x in index])  # uncertified: k > 1
+        index = np.array(index)
+        vectors = a._vectors[rows[index], :, d - k:]  # uncertified: k > 1
         adjoints = vectors.conj().swapaxes(-1, -2)
-        matrices = np.empty((len(index), len(b), k, k), dtype=complex)
-        for xs, ys in linalg.blocks(len(index), len(b), d):
+        matrices = np.empty((len(index), len(b.outcomes), k, k), dtype=complex)
+        for xs, ys in linalg.blocks(len(index), len(b.outcomes), d):
             np.matmul(adjoints[xs, None] @ b.stack()[ys], vectors[xs, None], out=matrices[xs, ys])
-        out.append(Compressions(np.array(index), vectors, adjoints, matrices))
+        out.append(Compressions(index, vectors, adjoints, matrices))
     return tuple(out)
 
 
@@ -308,11 +322,12 @@ def certainty_deviations(first: Observable, second: Observable, units: np.ndarra
     read from ``comps`` (``compressions`` of (first, second)), a block of
     outcomes per call, where its unit eigenspace is exactly the kept columns
     U_x of a factored A_x, its top k, else made here, one outcome at a time."""
-    target = 1.0 / len(second)
-    devs = np.zeros((len(first), len(second)))
+    n = len(second.outcomes)
+    target = 1.0 / n
+    devs = np.zeros((len(first.outcomes), n))
     counts = units.sum(axis=-1)
-    own = ((counts == 1) & units[:, -1])[table.index]
-    if own.any():
+    own = ((counts == 1) & units[:, -1])[table.index] if len(table.index) else None
+    if own is not None and own.any():
         scale = np.max(np.abs(table.vectors[:, own]), axis=0) ** 2
         devs[table.index[own]] = (np.abs(table.forms[:, own] - target) * scale).T
         counts[table.index[own]] = 0  # their lines are done
@@ -321,13 +336,15 @@ def certainty_deviations(first: Observable, second: Observable, units: np.ndarra
         if not shared.all():
             index, u, adj, matrices = index[shared], u[shared], adj[shared], matrices[shared]
         core = matrices - target * np.eye(u.shape[-1])
-        for xs, ys in linalg.blocks(len(index), len(second), first.dim):
+        for xs, ys in linalg.blocks(len(index), n, first.dim):
             devs[index[xs], ys] = linalg.max_abs_each(u[xs, None] @ core[xs, ys] @ adj[xs, None])
         counts[index] = 0
     for x in counts.nonzero()[0]:
         u = first.effects[x].spectral.eigenvectors[:, units[x]]  # unit_eigenspace(eig_tol)
-        core = u.conj().T @ second.stack() @ u - target * np.eye(u.shape[1])
-        devs[x] = linalg.max_abs_each(u @ core @ u.conj().T)
+        adj = u.conj().T
+        core = adj @ second.stack() @ u
+        core.reshape(n, -1)[:, ::u.shape[1] + 1] -= target  # - target I, in place
+        devs[x] = linalg.max_abs_each(u @ core @ adj)
     return devs
 
 
@@ -369,8 +386,9 @@ def products(a: Observable, b: Observable) -> Products:
     OpenBLAS rounds a GEMM's column by the GEMM's width, so the two ways can
     differ by a few ulps (seen at d = 25 and 27).
     """
-    scale = 1.0 / len(b)
-    devs = np.zeros((len(a), len(b)))
+    m, n = len(a.outcomes), len(b.outcomes)
+    scale = 1.0 / n
+    devs = np.zeros((m, n))
     lines = line_table(a, b)
     ones, coeffs = lines.index, lines.coeffs
     if len(ones):  # w_x |f_xy - 1/n| max|v|^2, set to 0 on uncertified lines but at lo/hi
@@ -382,16 +400,16 @@ def products(a: Observable, b: Observable) -> Products:
             subset = linalg.projections(lines.vectors[:, cols])
             for ys in (coeffs[:, cols].argmin(axis=0), coeffs[:, cols].argmax(axis=0)):
                 devs[xs, ys] = linalg.max_abs_each(coeffs[ys, cols, None, None] * subset - targets)
-    if len(ones) < len(a):
+    if len(ones) < m:
         comps = compressions(a, b)
         summed = _summed(a, b, lines, comps, devs)
         return Products(devs, _uniform_deviations(summed, scale), lines, comps)
     rows = lines.vectors.T
     conj = rows.conj()
-    gaps = np.zeros(len(b))
+    gaps = np.zeros(n)
     for i0 in range(0, a.dim, _BLOCK_ROWS):
         block = np.multiply(rows[:, i0:i0 + _BLOCK_ROWS, None], conj[:, None, i0:], order="C")
-        summed = (coeffs @ linalg.real_rows(block)).view(complex).reshape(len(b), *block.shape[1:])
+        summed = (coeffs @ linalg.real_rows(block)).view(complex).reshape(n, *block.shape[1:])
         np.maximum(gaps, _uniform_deviations(summed, scale), out=gaps)
     return Products(devs, gaps, lines, ())
 
@@ -422,8 +440,9 @@ def _summed(a: Observable, b: Observable, lines: LineTable, comps: tuple[Compres
     these differ from n separate d x d products by about 1e-16 at some d (with OpenBLAS, those
     not a multiple of 4).
     """
-    scale = 1.0 / len(b)
-    shape = (len(b), a.dim, a.dim)
+    n = len(b.outcomes)
+    scale = 1.0 / n
+    shape = (n, a.dim, a.dim)
     if len(lines.index):
         total = (lines.coeffs @ linalg.real_rows(linalg.projections(lines.vectors))).view(complex).reshape(shape)
     else:  # the bits of an empty GEMM, without its cost on small lifted passes
@@ -432,14 +451,14 @@ def _summed(a: Observable, b: Observable, lines: LineTable, comps: tuple[Compres
     for index, vectors, adjoints, matrices in comps:
         roots = np.sqrt(a.spectra()[index, a.dim - vectors.shape[-1]:])
         scaled = matrices * (roots[:, None, :, None] * roots[:, None, None, :])  # diag(s) C_xy diag(s)
-        for xs, ys in linalg.blocks(len(index), len(b), a.dim):
+        for xs, ys in linalg.blocks(len(index), n, a.dim):
             lifts = vectors[xs, None] @ scaled[xs, ys] @ adjoints[xs, None]
             total[ys] += lifts[0] if len(lifts) == 1 else lifts.sum(axis=0)  # no copy of a block of one
             lifts -= scale * a.stack()[index[xs], None]
             devs[index[xs], ys] = linalg.max_abs_each(lifts)
         lifted[index] = False
     if lifted.any():
-        rows = b.stack().reshape(len(b) * a.dim, a.dim)
+        rows = b.stack().reshape(n * a.dim, a.dim)
         lifts, half = np.empty_like(total), np.empty_like(total)
         mag = np.empty(total.shape)
         lift_rows, half_rows = lifts.reshape(rows.shape), half.reshape(rows.shape)
@@ -449,7 +468,7 @@ def _summed(a: Observable, b: Observable, lines: LineTable, comps: tuple[Compres
             np.conjugate(lifts.swapaxes(-1, -2), out=half)
             np.matmul(half_rows, root, out=lift_rows)
             np.subtract(lifts, scale * a.effects[x].matrix, out=half)
-            np.max(np.abs(half, out=mag), axis=(-2, -1), out=devs[x])
+            np.maximum.reduce(np.abs(half, out=mag), axis=(-2, -1), out=devs[x])  # max_abs_each
             total += lifts
     return total
 

@@ -374,14 +374,19 @@ class TestClassifyPair:
 
     @staticmethod
     def count_calls(monkeypatch, a, b):
-        """classify_pair(a, b) and its ``line_table``, ``linalg.projections`` and ``linalg.frobenius`` calls."""
+        """classify_pair(a, b), its ``line_table``, ``linalg.projections`` and ``linalg.frobenius``
+        calls, and the line tables it made, in order."""
         calls = {"line_table": 0, "projections": 0, "frobenius": 0}
+        tables = []
         for module, name in ((observables, "line_table"), (linalg, "projections"), (linalg, "frobenius")):
             def counted(*args, _name=name, _fn=getattr(module, name)):
                 calls[_name] += 1
-                return _fn(*args)
+                out = _fn(*args)
+                if _name == "line_table":
+                    tables.append(out)
+                return out
             monkeypatch.setattr(module, name, counted)
-        return classify_pair(a, b), calls
+        return classify_pair(a, b), calls, tables
 
     def test_atomic_pair_builds_each_line_table_once(self, monkeypatch):
         # one line table per product pass, read again by value complementarity;
@@ -390,7 +395,7 @@ class TestClassifyPair:
         # no projection stack is made
         a, b = helpers.mu_atomic_pair(8, 8)
         assert a._certified.all() and b._certified.all()
-        rep, calls = self.count_calls(monkeypatch, a, b)
+        rep, calls, _ = self.count_calls(monkeypatch, a, b)
         assert rep.value_complementary.holds and not rep.value_complementary.vacuous
         assert calls == {"line_table": 2, "projections": 0, "frobenius": 0}
 
@@ -400,9 +405,25 @@ class TestClassifyPair:
         # and its lo/hi condition (1) products read its own projection only
         a, b = build_pair("snap-band-vs-momentum", 8, 8)
         assert not a._certified.all() and b._certified.all()
-        rep, calls = self.count_calls(monkeypatch, a, b)
+        rep, calls, _ = self.count_calls(monkeypatch, a, b)
         assert rep.mu.holds and rep.condition1.holds
         assert calls == {"line_table": 2, "projections": 3, "frobenius": 3}
+
+    @pytest.mark.parametrize("dim", [4, 8, 12, 16])
+    @pytest.mark.parametrize("pair", [helpers.coarse_matched_pair, helpers.coarse_mismatched_pair])
+    def test_interval_pair_makes_empty_line_tables_without_forms(self, monkeypatch, pair, dim):
+        # interval blocks against residue classes or intervals: no effect is rank one, so
+        # neither pass has a line; the one frobenius call is the trace table's, and each
+        # empty table has the shapes and dtypes that the forms' GEMM would give
+        a, b = pair(dim, 2 if dim < 8 else 4, dim)
+        assert (a.ranks() > 1).all() and (b.ranks() > 1).all()
+        rep, calls, tables = self.count_calls(monkeypatch, a, b)
+        assert rep.generalized_mu.holds and rep.condition1.holds == (pair is helpers.coarse_matched_pair)
+        assert calls == {"line_table": 2, "projections": 0, "frobenius": 1}
+        for table, other in zip(tables, (b, a)):
+            want = {"index": ((0,), np.intp), "vectors": ((dim, 0), complex),
+                    "forms": ((len(other), 0), float), "coeffs": ((len(other), 0), float)}
+            assert {k: (v.shape, v.dtype) for k, v in table._asdict().items()} == want
 
 
 class TestUserTolerance:
@@ -481,6 +502,19 @@ class TestUserTolerance:
                                                  observables.compressions(a, b))
         want = np.array([[naive.get(("A", x, y), 0.0) for y in b.outcomes] for x in a.outcomes])
         assert np.abs(table - want).max() <= 1e-12
+
+
+def test_loosely_atomic_pair_has_mu_at_its_tolerance():
+    # ranks [2, 1]: diag(1, 0.2) is not rank one, but at tol 0.3 both effects are sharp with one
+    # unit eigenvalue, so the pair is atomic there and mu applies; at the default tolerance it is not
+    a = Observable(["0", "1"], [np.diag([1.0, 0.2]).astype(complex), np.diag([0.0, 0.8]).astype(complex)])
+    b = momentum_observable(2)
+    assert a.ranks().tolist() == [2, 1]
+    rep = classify_pair(a, b, tol=0.3)
+    assert rep.mu is not None and rep.mu.holds
+    assert rep.mu.max_deviation == pytest.approx(0.1, abs=1e-12)
+    assert rep.mu == check_mu(a, b, tol=0.3)
+    assert classify_pair(a, b).mu is None
 
 
 class TestToleranceEdges:

@@ -100,7 +100,7 @@ def test_certificate_matches_eigh(kind, dim, seed, tol, weight, sign):
         dim = 2  # the other kinds need a second, orthogonal direction
     if kind == "rank-two":
         weight = min(weight, 0.5)
-    m = linalg.as_matrix(_input(kind, dim, np.random.default_rng(seed), tol, weight, sign))
+    m = linalg.as_one(_input(kind, dim, np.random.default_rng(seed), tol, weight, sign))[0]
     with eigh_matrices() as seen:
         spectra = linalg.hermitian_eigs(m[None].copy(), tol)
     ref = linalg.hermitian_eig(m, linalg.tols(dim, tol)[0])

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from helpers import mat_approx_eq
 from mubkit import linalg
 from mubkit.effects import Effect
-from mubkit.errors import DimMismatch, NotHermitian
+from mubkit.errors import DimMismatch, NonFinite, NotHermitian
 from mubkit.oracle import random_observable, random_unitary
 
 F2 = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
@@ -31,20 +31,25 @@ def random_effect(dim, rng):
     return 0.9 * m / np.linalg.eigvalsh(m)[-1]
 
 
-def test_as_matrix_rejects_nonsquare():
-    with pytest.raises(DimMismatch):
-        linalg.as_matrix([[1, 2, 3], [4, 5, 6]])
+def test_as_one_rejects_nonsquare():
+    with pytest.raises(DimMismatch, match="expected a nonempty square matrix"):
+        linalg.as_one([[1, 2, 3], [4, 5, 6]])
 
 
-def test_as_matrix_rejects_nonfinite():
+def test_as_one_leaves_nonfinite_to_validation():
+    stack = linalg.as_one([[np.inf, 0], [0, 1]])
+    with pytest.raises(NonFinite):
+        linalg.hermitian_eigs(stack)
+
+
+def test_as_one_copies_once_and_validation_freezes():
+    raw = np.eye(2)
+    stack = linalg.as_one(raw)
+    assert stack.shape == (1, 2, 2) and stack.flags.writeable and not np.shares_memory(stack, raw)
+    linalg.hermitian_eigs(stack)
     with pytest.raises(ValueError):
-        linalg.as_matrix([[np.inf, 0], [0, 1]])
-
-
-def test_as_matrix_freezes():
-    m = linalg.as_matrix([[1, 0], [0, 1]])
-    with pytest.raises(ValueError):
-        m[0, 0] = 5
+        stack[0, 0, 0] = 5
+    assert raw[0, 0] == 1.0
 
 
 def test_trace_fixture():
