@@ -207,7 +207,8 @@ class State:
         mat_tol, eig_tol = linalg.tols(stack.shape[-1], tol)
         if not low >= -eig_tol:  # NaN fails too
             raise NotPositive(f"state eigenvalue {low:.3e} below -{eig_tol:.3e}")
-        tr = linalg.trace(stack[0])
+        with np.errstate(over="ignore"):  # a finite matrix's trace may overflow: inf, rejected below
+            tr = linalg.trace(stack[0])
         if abs(tr - 1.0) > mat_tol:
             raise NotNormalized(f"state trace {tr} is not 1 within {mat_tol:.3e}")
         self.matrix = stack[0]

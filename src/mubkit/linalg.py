@@ -11,14 +11,15 @@ R must be Hermitian in every bit) and the value-complementarity witness (its
 assume nothing about physical meaning; the effect and observable layers build on top.
 
 One routine validates: ``hermitian_eigs`` checks an (m, d, d) stack (of effects, or a
-stack of one effect or state) and finds every matrix's eigenvalues (m, d) and top unit
-eigenvector (m, d). Matrices it can certify as rank one within ``CERTIFICATE_TOL`` get
-both in O(d^2), without ``eigh``, and are marked in a mask (only they may be read as
-w v v* in closed forms); no other eigenvector of theirs is made. The rest go through
-``eigh`` with the bits of ``hermitian_eig``, ``eigh`` on one matrix: the reference, by
-which nothing validates. Their full eigenvectors are kept, one (u, d, d) array. The
-Householder unitary ending in a certified vector (``_unitary_ending_in``) is built only
-when ``Effect.spectral`` of that effect is read.
+stack of one effect or state), reading finiteness from the asymmetry defect, and finds
+every matrix's eigenvalues (m, d) and top unit eigenvector (m, d). The candidates, chosen
+by trace, that it certifies as rank one within ``CERTIFICATE_TOL`` get both in O(d^2),
+without ``eigh``, and are marked in a mask (only they may be read as w v v* in closed
+forms). The rest go through ``eigh`` with the bits of ``hermitian_eig``, ``eigh`` on one
+matrix after the same check: the reference, by which nothing validates. Their full
+eigenvectors are kept, one (u, d, d) array. The Householder unitary ending in a
+certified vector (``_unitary_ending_in``) is built only when ``Effect.spectral`` of that
+effect is read.
 """
 from __future__ import annotations
 
@@ -173,9 +174,8 @@ def hermitian_eig(m: np.ndarray, tol: float | None = None) -> SpectralDecomposit
     Parameters
     ----------
     m : ndarray
-        Square matrix, Hermitian within ``tol``. It is symmetrized before
-        the solver runs so that both triangles contribute (see
-        ``_symmetrize_halves``).
+        Square matrix, finite and Hermitian within ``tol``. It is checked and symmetrized
+        as a stack is (``_hermitian_part``), so that both triangles contribute.
     tol : float, optional
         Hermiticity tolerance; defaults to ``default_tol(dim)``.
 
@@ -189,12 +189,12 @@ def hermitian_eig(m: np.ndarray, tol: float | None = None) -> SpectralDecomposit
 
     Raises
     ------
+    NonFinite
+        If an entry is not finite.
     NotHermitian
         If the asymmetry exceeds ``tol``; the message carries the defect.
     """
-    h = m * 0.5
-    _check_defect(_symmetrize_halves(h), tols(m.shape[0], tol)[0])
-    w, v = np.linalg.eigh(h)
+    w, v = np.linalg.eigh(_hermitian_part(m, tols(m.shape[0], tol)[0]))
     return SpectralDecomposition(freeze(w), freeze(v))
 
 
@@ -207,17 +207,16 @@ def hermitian_eigs(stack: np.ndarray, tol: float | None = None) -> StackSpectra:
     ``blocks`` at a time, the tile is halved in place, its defect max |M - M*| taken and H
     written; then:
 
-    * **Gate.** max |H_ij| of every matrix, which NaN and inf carry through, so a
-      non-finite entry raises ``NonFinite`` here, before any ``NotHermitian``. H is a
-      rank-one candidate when max |H_ij| <= 1 + eig_tol and 0 < tr H <= 1 + eig_tol,
-      eig_tol being the eigenvalue tolerance of ``tol``. Every rank-one effect passes;
-      effects of trace 2 or more fail here, and entries near the float limit never
-      reach the sums.
+    * **Check.** The defect, which NaN and inf carry through, is the finiteness check: a
+      non-finite entry raises ``NonFinite`` before any ``NotHermitian``. H is a rank-one
+      candidate when 0 < tr H <= 1 + eig_tol, eig_tol being the eigenvalue tolerance of
+      ``tol``. Every rank-one effect passes, and effects of trace 2 or more fail here.
     * **Certificate.** With j the largest diagonal entry, v = H[:, j] / sqrt(H_jj) and
       R = H - v v*, written into scratch made once per stack, H is certified when ||R||_F
       is at most min(CERTIFICATE_TOL, eig_tol). By Weyl's inequality every eigenvalue of
       H then lies within ||R||_F of (0, ..., 0, ||v||^2), which is the spectrum returned,
-      and v / ||v|| is its top vector: O(d^2), and no other eigenvector is made.
+      and v / ||v|| is its top vector: O(d^2), and no other eigenvector is made. A
+      non-effect whose trace or v v* overflows fails it (inf and NaN fail every test).
     * **Fallback.** Every other matrix goes through ``eigh`` on the same H, a tile at a
       time into one (u, d, d) array, so its decomposition has the bits ``hermitian_eig``
       gives. Its top vector is the last column, a view when no matrix is certified.
@@ -254,57 +253,53 @@ def hermitian_eigs(stack: np.ndarray, tol: float | None = None) -> StackSpectra:
 
 def _certify(h: np.ndarray, mat_tol: float, eig_tol: float, w: np.ndarray,
              scratch: tuple[np.ndarray, np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray | None]:
-    """``hermitian_eigs``' pass over one tile: symmetrize it in place to H, check it, and
+    """``hermitian_eigs``' pass over one tile: check it and symmetrize it in place to H, and
     certify what it can, in ``scratch`` (two complex buffers and a real one, of at least
     the tile's shape). Writes the certified spectra into ``w`` (zeros on entry) and
     returns their rows in the tile and their top unit vectors (K, d), None with no candidate."""
     adj, work, mag = (buf[:len(h)] for buf in scratch)
-    with np.errstate(invalid="ignore"):  # inf * (0.5 + 0j) and inf - inf: NaN, raised below
-        defect = _symmetrize_halves(np.multiply(h, 0.5, out=h), adj, work, mag)
-        peak = np.abs(h, out=mag).max(axis=(-2, -1))  # max_abs_each
-    if not peak.max() < math.inf:  # NaN fails too
-        raise NonFinite("matrix entries must be finite")
-    _check_defect(defect, mat_tol)
+    _hermitian_part(h, mat_tol, h, adj, work, mag)
     diag = np.diagonal(h, axis1=-2, axis2=-1).real
-    cand = np.flatnonzero(peak <= 1.0 + eig_tol)
-    traces = diag[cand].sum(axis=-1)
-    cand = cand[(traces > 0.0) & (traces <= 1.0 + eig_tol)]
-    if not len(cand):
-        return cand, None
-    j = diag[cand].argmax(axis=-1)
-    col = h[cand, :, j] / np.sqrt(diag[cand, j])[:, None]
-    resid = np.multiply(col[:, :, None], col.conj()[:, None, :], out=work[:len(cand)])
-    np.subtract(resid, h if len(cand) == len(h) else h[cand], out=resid)
-    resid = real_rows(resid)
-    ok = np.einsum("ki,ki->k", resid, resid) <= min(CERTIFICATE_TOL, eig_tol) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-effect's trace or col col* may overflow: fails
+        traces = diag.sum(axis=-1)
+        cand = np.flatnonzero((traces > 0.0) & (traces <= 1.0 + eig_tol))
+        if not len(cand):
+            return cand, None
+        j = diag[cand].argmax(axis=-1)
+        col = h[cand, :, j] / np.sqrt(diag[cand, j])[:, None]
+        resid = np.multiply(col[:, :, None], col.conj()[:, None, :], out=work[:len(cand)])
+        np.subtract(resid, h if len(cand) == len(h) else h[cand], out=resid)
+        resid = real_rows(resid)
+        ok = np.einsum("ki,ki->k", resid, resid) <= min(CERTIFICATE_TOL, eig_tol) ** 2
     done, col = cand[ok], col[ok]
     norm2 = np.einsum("ki,ki->k", col.conj(), col).real
     w[done, -1] = norm2
     return done, col / np.sqrt(norm2)[:, None]
 
 
-def _symmetrize_halves(half: np.ndarray, adj: np.ndarray | None = None, work: np.ndarray | None = None,
-                       mag: np.ndarray | None = None) -> np.ndarray:
-    """For the halves M / 2 of a matrix or of every matrix in a stack, written in a
-    writable array, write (M + M*) / 2 over them and return each matrix's max |M - M*| / 2;
-    into the C-ordered scratch ``adj`` and ``work`` (complex) and ``mag`` (real) when given.
+def _hermitian_part(m: np.ndarray, tol: float, out: np.ndarray | None = None, adj: np.ndarray | None = None,
+                    work: np.ndarray | None = None, mag: np.ndarray | None = None) -> np.ndarray:
+    """Check a matrix, or every matrix in a stack, and write H = (M + M*) / 2 into ``out``
+    (which may be ``m``), through the C-ordered scratch ``adj`` and ``work`` (complex) and
+    ``mag`` (real) when given. Raises ``NonFinite`` if an entry is not finite, else
+    ``NotHermitian`` for the first matrix whose asymmetry max |M - M*| exceeds ``tol``.
 
     Halving first keeps entries near the float limit from overflowing into a NaN
     spectrum. Halving is exact above the subnormal range, so the defect has the bits
-    of max |M - M*| / 2 and the result those of (M + M*) / 2.
+    of max |M - M*| / 2 and the result those of (M + M*) / 2. The defect is NaN or inf
+    where an entry is not finite; with finite entries, only where a modulus overflows.
     """
-    adj = np.conjugate(np.swapaxes(half, -1, -2), out=adj)
-    defect = np.abs(np.subtract(half, adj, out=work), out=mag).max(axis=(-2, -1))  # max_abs_each
-    np.add(half, adj, out=half)
-    return defect
-
-
-def _check_defect(half_defect: np.ndarray, tol: float) -> None:
-    """Raise ``NotHermitian`` for the first matrix whose asymmetry exceeds ``tol``."""
-    bad = half_defect > tol / 2.0
+    with np.errstate(invalid="ignore"):  # inf * (0.5 + 0j) and inf - inf: NaN, raised below
+        half = np.multiply(m, 0.5, out=out)
+        adj = np.conjugate(np.swapaxes(half, -1, -2), out=adj)
+        defect = np.abs(np.subtract(half, adj, out=work), out=mag).max(axis=(-2, -1))  # max_abs_each
+    if not defect.max() < math.inf and not np.isfinite(half).all():  # NaN fails the first test too
+        raise NonFinite("matrix entries must be finite")
+    bad = defect > tol / 2.0
     if bad.any():
-        defect = 2.0 * float(half_defect.flat[bad.argmax()])  # the first; a Python float: inf, not a warning
-        raise NotHermitian(f"max asymmetry {defect:.3e} exceeds tol {tol:.3e}")
+        worst = 2.0 * float(defect.flat[bad.argmax()])  # the first; a Python float: inf, not a warning
+        raise NotHermitian(f"max asymmetry {worst:.3e} exceeds tol {tol:.3e}")
+    return np.add(half, adj, out=half)
 
 
 def _unitary_ending_in(u: np.ndarray) -> np.ndarray:

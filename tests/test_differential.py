@@ -172,6 +172,19 @@ def test_deciders_match_naive_reference(kind, dim, seed, tol):
     assert_deciders_agree(*build_pair(kind, dim, seed), tol)
 
 
+@pytest.mark.parametrize("dim", [17, 27, 32])
+def test_rounded_haar_pairs_match_naive_reference(dim):
+    """Uncertified lines past d = 8: Haar-rotated position/momentum with entries rounded to
+    9 decimals, as read from a file, validate at the CLI's tolerance with no effect certified."""
+    tol = linalg.default_tol(dim)
+    u = random_unitary(dim, dim)
+    a, b = (Observable(o.outcomes, np.round(u @ o.stack() @ u.conj().T, 9), tol)
+            for o in (position_observable(dim), momentum_observable(dim)))
+    assert not a._certified.any() and not b._certified.any()
+    assert_deciders_agree(a, b, tol)
+    assert_deciders_agree(b, a, tol)
+
+
 FACTORED_KINDS = ["coarse-matched", "coarse-mismatched", "random-sharp", "mixed-rank-vs-momentum",
                   "partial-certainty", "weighted-blocks"]
 

@@ -2,9 +2,10 @@
 
 A certified effect keeps its top unit vector, not an eigenvector unitary: the
 public ``Effect.spectral`` builds the Householder unitary ending in that vector
-on first read. Finiteness is read from the gate's entrywise maxima, after the
-asymmetry defect is taken, so the error classes and texts on malformed input
-are those of a separate finiteness pass before it.
+on first read. Finiteness is read from the asymmetry defect and rank-one
+candidates are chosen by trace, so the error classes and texts on malformed
+input are those of a separate finiteness pass before the defect, and those of
+an entrywise bound on the candidates before the certificate.
 """
 import json
 import tracemalloc
@@ -26,7 +27,7 @@ from mubkit import (
     random_unitary,
 )
 from mubkit.cli import main
-from mubkit.errors import NonFinite, NotAnEffect, NotHermitian
+from mubkit.errors import NonFinite, NotAnEffect, NotHermitian, NotNormalized, NotPositive, SpectrumOutOfRange
 from test_certificate import eigh_only
 from test_differential import snap_band_basis
 
@@ -157,17 +158,24 @@ MALFORMED = {  # (matrix, error class, text)
                          "max asymmetry 3.000e-01 exceeds tol 2.000e-09"),
     "asymmetry-past-the-float-limit": ([[0.5, 1e308], [-1e308, 0.5]], NotHermitian,
                                        "max asymmetry inf exceeds tol 2.000e-09"),
+    # finite, but |M_01 - conj(M_10)| / 2 overflows: an inf defect that is no finiteness failure
+    "asymmetry-modulus-past-the-float-limit": ([[0.5, 1.7e308 * (1 + 1j)], [-1.7e308 * (1 - 1j), 0.5]],
+                                               NotHermitian, "max asymmetry inf exceeds tol 2.000e-09"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
 def test_malformed_input_raises_as_before(name):
     """NonFinite wins over NotHermitian, in the stacked pass itself, in a stack of one,
-    in a later tile (d = 100: one matrix a tile) and through an observable, with no warning."""
+    in a later tile (d = 100: one matrix a tile), through an observable and in the
+    ``eigh`` reference, with no warning."""
     entries, error, text = MALFORMED[name]
     m = np.array(entries, dtype=complex)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        with pytest.raises(error) as err:
+            linalg.hermitian_eig(m)
+        assert str(err.value) == text
         for stack in (m[None].copy(), np.stack([np.eye(2) / 2, m])):
             with pytest.raises(error) as err:
                 linalg.hermitian_eigs(stack)
@@ -188,6 +196,48 @@ def test_malformed_input_raises_as_before(name):
         with pytest.raises(NotAnEffect) as err:
             Observable(["0", "1", "2"], big)
         assert str(err.value) == f"outcome '2': {text.replace('2.000e-09', '1.000e-07')}"
+
+
+# finite, Hermitian and past the entry bound |H_ij| <= 1 + eig_tol that every effect meets:
+# (matrix, Effect's text, State's error and text); the first three overflow a trace or v v*
+PAST_THE_ENTRY_BOUND = {
+    "diagonal-near-the-float-limit": (np.diag([1e308, 1e308]),
+                                      "eigenvalue 1e+308 outside [0, 1] by more than 1.000e-09",
+                                      NotNormalized, "state trace (inf+0j) is not 1 within 2.000e-09"),
+    "off-diagonal-1e200": ([[0.5, 1e200], [1e200, 0.5]],
+                           "eigenvalue -1e+200 outside [0, 1] by more than 1.000e-09",
+                           NotPositive, "state eigenvalue -1.000e+200 below -1.000e-09"),
+    "tiny-trace-large-off-diagonal": ([[1e-300, 1e160], [1e160, 1e-300]],
+                                      "eigenvalue -1e+160 outside [0, 1] by more than 1.000e-09",
+                                      NotPositive, "state eigenvalue -1.000e+160 below -1.000e-09"),
+    "unit-trace-entry-3": ([[1.0, 3.0], [3.0, 0.0]],
+                           "eigenvalue -2.54138126514911 outside [0, 1] by more than 1.000e-09",
+                           NotPositive, "state eigenvalue -2.541e+00 below -1.000e-09"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAST_THE_ENTRY_BOUND))
+def test_finite_input_past_the_entry_bound_raises_as_before(name):
+    """Rank-one candidates are chosen by trace alone: a finite non-effect that reaches the
+    certificate fails it, overflow included, and gets ``eigh``'s spectrum, with no warning."""
+    entries, effect_text, state_error, state_text = PAST_THE_ENTRY_BOUND[name]
+    m = np.array(entries, dtype=complex)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ref = linalg.hermitian_eig(m).eigenvalues
+        for stack in (m[None].copy(), np.stack([np.eye(2) / 2, m])):
+            spectra = linalg.hermitian_eigs(stack)
+            assert not spectra.certified[-1]
+            assert spectra.eigenvalues[-1].tobytes() == ref.tobytes()
+        with pytest.raises(SpectrumOutOfRange) as err:
+            Effect(m)
+        assert str(err.value) == effect_text
+        with pytest.raises(state_error) as err:
+            State(m)
+        assert str(err.value) == state_text
+        with pytest.raises(NotAnEffect) as err:
+            Observable(["0", "1"], [np.eye(2) / 2, m])
+        assert str(err.value) == f"outcome '1': {effect_text}"
 
 
 @pytest.mark.parametrize("name", ["inf-hermitian", "nan-asymmetric", "nan-diagonal", "inf-asymmetric",
