@@ -47,6 +47,7 @@ from .observables import (
     Observable,
     PartitionMap,
     Products,
+    certainty_compression,
     certainty_deviations,
     compressions,
     line_table,
@@ -182,8 +183,7 @@ def _complementarity_verdict(a: Observable, b: Observable, mat_tol: float, units
         side, first, second = sides[s]
         x, y = divmod(k, len(second.outcomes))
         target = 1.0 / len(second.outcomes)
-        basis = first.effects[x].spectral.eigenvectors[:, units[s][x]]  # its unit_eigenspace
-        compressed = basis.conj().T @ second.effects[y].matrix @ basis
+        basis, compressed = certainty_compression(first, x, units[s][x], second.stack()[y])
         w, v = np.linalg.eigh((compressed + compressed.conj().T) / 2.0)  # both triangles count (``linalg``)
         j = _first_near_max(np.abs(w - target))  # ascending: the lowest of tied extremes
         return {"side": side, "certain_outcome": first.outcomes[x], "other_outcome": second.outcomes[y],

@@ -5,7 +5,7 @@ stack of one), and are views of that stack and of what its validation found
 (``linalg.hermitian_eigs``): the eigenvalues and top unit eigenvector of every
 effect, and the full eigenvectors of those not certified as rank one. A
 certified effect's eigenvector unitary is built when ``Effect.spectral`` is
-first read; nothing in the checkers reads it.
+first read; below tolerance 1 no checker reads it (``Effect._unit_basis``).
 """
 from __future__ import annotations
 
@@ -13,6 +13,9 @@ import numpy as np
 
 from . import linalg
 from .errors import DimMismatch, InvalidProbability, NotNormalized, NotPositive, SpectrumOutOfRange
+
+#: A finite matrix's NaN spectrum: ``eigh`` scales by max |H_ij|, inf when a complex modulus overflows.
+NAN_SPECTRUM = "spectrum is not finite: an entry's modulus overflows the float range"
 
 
 class Effect:
@@ -114,8 +117,11 @@ class Effect:
     def unit_eigenspace(self, tol: float | None = None) -> np.ndarray:
         """Orthonormal basis (d x k, possibly k = 0) of the eigenvalue-1 eigenspace."""
         _, tol = linalg.tols(self.dim, tol)
-        w, v = self.spectral
-        return v[:, unit_mask(w, tol)]
+        return self._unit_basis(unit_mask(self._eigenvalues, tol))
+
+    def _unit_basis(self, mask: np.ndarray) -> np.ndarray:
+        """The one certainty basis: the ``spectral`` columns ``mask`` marks, a ``_top`` copy if at most the top."""
+        return self.spectral.eigenvectors[:, mask] if mask[:-1].any() else self._top[:, None][:, mask[-1:]]
 
     def __repr__(self) -> str:
         return f"Effect(dim={self.dim})"
@@ -138,7 +144,8 @@ def effects_of(stack: np.ndarray, tol: float | None = None
     bad = np.flatnonzero(~((low >= -eig_tol) & (high <= 1.0 + eig_tol)))
     if len(bad):
         value = float(low[bad[0]] if not low[bad[0]] >= -eig_tol else high[bad[0]])
-        raise SpectrumOutOfRange(f"eigenvalue {value!r} outside [0, 1] by more than {eig_tol:.3e}")
+        raise SpectrumOutOfRange(NAN_SPECTRUM if np.isnan(value) else
+                                 f"eigenvalue {value!r} outside [0, 1] by more than {eig_tol:.3e}")
     ranks = linalg.freeze((spectra.eigenvalues >= max(eig_tol, linalg.EIGENVALUE_TOL)).sum(axis=-1))
     full = iter(spectra.eigenvectors)  # the uncertified effects', in order
     decomposed = [None if c else next(full) for c in spectra.certified.tolist()]
@@ -206,7 +213,8 @@ class State:
         low = linalg.hermitian_eigs(stack, tol).eigenvalues[0, 0]
         mat_tol, eig_tol = linalg.tols(stack.shape[-1], tol)
         if not low >= -eig_tol:  # NaN fails too
-            raise NotPositive(f"state eigenvalue {low:.3e} below -{eig_tol:.3e}")
+            raise NotPositive(f"state {NAN_SPECTRUM}" if np.isnan(low) else
+                              f"state eigenvalue {low:.3e} below -{eig_tol:.3e}")
         with np.errstate(over="ignore"):  # a finite matrix's trace may overflow: inf, rejected below
             tr = linalg.trace(stack[0])
         if abs(tr - 1.0) > mat_tol:

@@ -36,7 +36,7 @@ the (m, d, d) stacks; the (m, n, d, d) array of all products is never built.
 * ``certainty_deviations`` reads a certainty subspace that is a rank-one effect's own
   line as |Re <B_y, P_x> - 1/n| max|v|^2, a column of the line table; other subspaces
   are compressed to k x k: where the subspace is a factored effect's kept range, the
-  pass's own C_xy, a block of outcomes at a time, else one outcome at a time.
+  pass's own C_xy, a block of outcomes at a time, else one outcome at a time (``certainty_compression``).
 * ``trace_table`` and the line table's forms are one d x d Gram GEMM of top
   vectors where every effect they read is certified, else one real GEMM of the
   flattened stacks (``linalg.frobenius``).
@@ -219,6 +219,7 @@ class LineTable(NamedTuple):
     vectors: np.ndarray  # (d, K): their unit vectors v, A_x's top eigenvector
     forms: np.ndarray    # (n, K): Re <B_y, v v*>
     coeffs: np.ndarray   # (n, K): c_xy = w_x Re <B_y, v v*>, so that A_x o B_y = c_xy v v*
+    peaks: np.ndarray    # (K,): max_i |v_i|^2 = max_abs(v v*), which scales every deviation on a line
 
 
 def line_table(a: Observable, b: Observable) -> LineTable:
@@ -230,7 +231,7 @@ def line_table(a: Observable, b: Observable) -> LineTable:
     (``certified_forms``) when all of B and A's lines are certified, else
     one real GEMM of B's stack against the lines' (K, d, d) projection stack
     (``linalg.frobenius``), made for that product and dropped. The table owns
-    the coefficients c_xy = w_x forms that ``products`` and ``_summed`` read.
+    the coefficients c_xy = w_x forms and the peaks max_i |v_i|^2 of ``products`` and ``certainty_deviations``.
 
     With no rank-one effect the table is empty, in the shapes and dtypes the GEMM would give,
     and is returned before any test or product (about 9 us a pass at d <= 16).
@@ -239,13 +240,14 @@ def line_table(a: Observable, b: Observable) -> LineTable:
     index = (a.ranks() == 1).nonzero()[0]
     if not len(index):  # no line: the empty table, without the tests and GEMM that would make it
         empty = np.empty((len(b.outcomes), 0))
-        return LineTable(index, np.empty((a.dim, 0), dtype=complex), empty, empty)
+        return LineTable(index, np.empty((a.dim, 0), dtype=complex), empty, empty, np.empty(0))
     vectors = a._top[index].T
     if b._certified.all() and a._certified[index].all():
         forms = certified_forms(b, vectors)
     else:
         forms = linalg.frobenius(b.stack(), linalg.projections(vectors))
-    return LineTable(index, vectors, forms, forms * a.spectra()[index, -1])
+    peaks = np.maximum.reduce(np.abs(vectors), axis=0) ** 2
+    return LineTable(index, vectors, forms, forms * a.spectra()[index, -1], peaks)
 
 
 class Compressions(NamedTuple):
@@ -321,15 +323,14 @@ def certainty_deviations(first: Observable, second: Observable, units: np.ndarra
     Every other subspace compresses S_y to k x k, (U* S_y) U, and lifts back:
     read from ``comps`` (``compressions`` of (first, second)), a block of
     outcomes per call, where its unit eigenspace is exactly the kept columns
-    U_x of a factored A_x, its top k, else made here, one outcome at a time."""
+    U_x of a factored A_x, its top k, else one outcome at a time (``certainty_compression``)."""
     n = len(second.outcomes)
     target = 1.0 / n
     devs = np.zeros((len(first.outcomes), n))
     counts = units.sum(axis=-1)
     own = ((counts == 1) & units[:, -1])[table.index] if len(table.index) else None
     if own is not None and own.any():
-        scale = np.max(np.abs(table.vectors[:, own]), axis=0) ** 2
-        devs[table.index[own]] = (np.abs(table.forms[:, own] - target) * scale).T
+        devs[table.index[own]] = (np.abs(table.forms[:, own] - target) * table.peaks[own]).T
         counts[table.index[own]] = 0  # their lines are done
     for index, u, adj, matrices in comps:  # the rows whose unit eigenspace is their factor's U_x
         shared = (units[index] == (np.arange(first.dim) >= first.dim - u.shape[-1])).all(axis=-1)
@@ -340,12 +341,17 @@ def certainty_deviations(first: Observable, second: Observable, units: np.ndarra
             devs[index[xs], ys] = linalg.max_abs_each(u[xs, None] @ core[xs, ys] @ adj[xs, None])
         counts[index] = 0
     for x in counts.nonzero()[0]:
-        u = first.effects[x].spectral.eigenvectors[:, units[x]]  # unit_eigenspace(eig_tol)
-        adj = u.conj().T
-        core = adj @ second.stack() @ u
+        u, core = certainty_compression(first, x, units[x], second.stack())
         core.reshape(n, -1)[:, ::u.shape[1] + 1] -= target  # - target I, in place
-        devs[x] = linalg.max_abs_each(u @ core @ adj)
+        devs[x] = linalg.max_abs_each(u @ core @ u.conj().T)
     return devs
+
+
+def certainty_compression(first: Observable, x: int, mask: np.ndarray, matrices: np.ndarray
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """U, A_x's certainty basis marked by ``mask`` (``Effect._unit_basis``), and (U* M) U for M in ``matrices``."""
+    u = first.effects[x]._unit_basis(mask)
+    return u, u.conj().T @ matrices @ u
 
 
 #: Rows of (B|A) per block on a pass whose effects are all rank one (``products``). At d = 32
@@ -392,7 +398,7 @@ def products(a: Observable, b: Observable) -> Products:
     lines = line_table(a, b)
     ones, coeffs = lines.index, lines.coeffs
     if len(ones):  # w_x |f_xy - 1/n| max|v|^2, set to 0 on uncertified lines but at lo/hi
-        peaks = np.max(np.abs(lines.vectors), axis=0) ** 2 * a._certified[ones]
+        peaks = lines.peaks * a._certified[ones]
         devs[ones] = (np.abs(lines.forms - scale) * a.spectra()[ones, -1] * peaks).T
         cols = np.flatnonzero(~a._certified[ones])
         if len(cols):
@@ -561,8 +567,8 @@ def conjugate(a: Observable, u: np.ndarray, tol: float | None = None) -> Observa
 def iter_set_partitions(items: Sequence) -> Iterator[list[list]]:
     """Every partition of ``items`` into nonempty blocks.
 
-    Blocks and items keep first-occurrence order; the count over n items
-    is the n-th Bell number.
+    Items in a block keep first-occurrence order, blocks do not (``[[2], [1, 3]]``
+    is yielded, so ``iter_partition_maps`` sorts them); n items give Bell(n) of them.
     """
     items = list(items)
     if not items:

@@ -421,7 +421,7 @@ class TestClassifyPair:
         assert rep.generalized_mu.holds and rep.condition1.holds == (pair is helpers.coarse_matched_pair)
         assert calls == {"line_table": 2, "projections": 0, "frobenius": 1}
         for table, other in zip(tables, (b, a)):
-            want = {"index": ((0,), np.intp), "vectors": ((dim, 0), complex),
+            want = {"index": ((0,), np.intp), "vectors": ((dim, 0), complex), "peaks": ((0,), float),
                     "forms": ((len(other), 0), float), "coeffs": ((len(other), 0), float)}
             assert {k: (v.shape, v.dtype) for k, v in table._asdict().items()} == want
 

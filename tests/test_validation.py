@@ -23,13 +23,14 @@ from mubkit import (
     conjugate,
     linalg,
     momentum_observable,
+    oracle,
     position_observable,
     random_unitary,
 )
 from mubkit.cli import main
 from mubkit.errors import NonFinite, NotAnEffect, NotHermitian, NotNormalized, NotPositive, SpectrumOutOfRange
 from test_certificate import eigh_only
-from test_differential import snap_band_basis
+from test_differential import build_pair, snap_band_basis
 
 TOLS = [None, 1e-6, 1e-12, 0.3]
 HOUSEHOLDER = linalg._unitary_ending_in  # the reference, never counted
@@ -82,7 +83,8 @@ class TestLazySpectral:
         a, b = snap_band_basis(u), conjugate(momentum_observable(6), u)
         assert householders == []
         assert 0 < a._certified.sum() < len(a)
-        before = reports(a, b)  # a failing verdict's witness reads its effects' unit eigenspaces
+        before = reports(a, b)
+        assert householders == []  # a failing witness reads a certified line's kept top vector
         tops = linalg.hermitian_eigs(a.stack().copy()).top
         for x, e in enumerate(a.effects):
             if a._certified[x]:
@@ -118,6 +120,20 @@ class TestLazySpectral:
                 with mock.patch.object(linalg, "hermitian_eigs", eigh_only):
                     ref = analysis.check_value_complementary(*haar_pair(dim), tol)
                 assert abs(got.max_deviation - ref.max_deviation) <= 1e-14
+
+
+@pytest.mark.parametrize("dim", [5, 17, 32])
+@pytest.mark.parametrize("kind", ["random-atomic", "halved-vs-atomic", "snap-band-vs-momentum"])
+def test_no_checker_builds_a_unitary_below_tol_1(kind, dim, householders):
+    """Below tol 1 a certified effect's certainty basis is at most its top vector, so value
+    complementarity's rows and witness and the reference build no Householder unitary."""
+    a, b = build_pair(kind, dim, dim)
+    for tol in TOLS:
+        for x, y in ((a, b), (b, a)):
+            analysis.classify_pair(x, y, tol)
+            analysis.check_value_complementary(x, y, tol)
+        oracle.naive_value_complementary(a, b, tol)
+    assert householders == []
 
 
 def test_validated_observable_holds_its_stack_and_little_more():
@@ -213,6 +229,11 @@ PAST_THE_ENTRY_BOUND = {
     "unit-trace-entry-3": ([[1.0, 3.0], [3.0, 0.0]],
                            "eigenvalue -2.54138126514911 outside [0, 1] by more than 1.000e-09",
                            NotPositive, "state eigenvalue -2.541e+00 below -1.000e-09"),
+    # Hermitian with finite parts, but |H_01| overflows: eigh scales by it and gives a NaN spectrum
+    "modulus-past-the-float-limit": ([[0.0, 1.7e308 * (1 + 1j)], [1.7e308 * (1 - 1j), 0.0]],
+                                     "spectrum is not finite: an entry's modulus overflows the float range",
+                                     NotPositive,
+                                     "state spectrum is not finite: an entry's modulus overflows the float range"),
 }
 
 
