@@ -42,15 +42,25 @@ from .analysis import (  # noqa: E402
     classify_pair,
     forced_alpha,
 )
-from .oracle import (  # noqa: E402
-    McReport,
-    brute_trace_table,
-    mc_value_complementarity,
-    random_observable,
-    random_state,
-    random_unit_vector,
-    random_unitary,
-)
+
+#: The reference implementations, loaded on first use: no command but
+#: ``paper-suite`` calls them, and ``oracle`` imports ``numpy.random``.
+_ORACLE_NAMES = ("McReport", "brute_trace_table", "mc_value_complementarity",
+                 "random_observable", "random_state", "random_unit_vector", "random_unitary")
+
+
+def __getattr__(name: str):
+    if name not in _ORACLE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import oracle
+
+    value = globals()[name] = getattr(oracle, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_ORACLE_NAMES})
+
 
 __all__ = [
     "__version__",
@@ -64,6 +74,5 @@ __all__ = [
     "check_condition1", "check_condition2", "check_generalized_mu",
     "check_mu", "check_partition_criterion", "check_trivial",
     "check_value_complementary", "classify_pair", "forced_alpha",
-    "McReport", "brute_trace_table", "mc_value_complementarity",
-    "random_observable", "random_state", "random_unit_vector", "random_unitary",
+    *_ORACLE_NAMES,
 ]

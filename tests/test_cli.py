@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 import os
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 import helpers
 import mubkit
-from mubkit import linalg
+from mubkit import cli, linalg
 from mubkit.analysis import classify_pair
 from mubkit.cli import (
     declared_dim,
@@ -649,6 +650,62 @@ def test_mutated_files_keep_the_exit_code_contract(fuzz_dir, data):
             json.loads(out.getvalue())
 
 
+#: A command's exits: its argv over the ``files`` fixture, and the exit code it
+#: returns or the exception it raises.
+EXITS = {
+    "exit-0": (["check", "all", "q4.json", "p4.json"], 0),
+    "exit-1": (["check", "condition1", "ex6.qprime.json", "ex6.pdprime.json"], 1),
+    "exit-2": (["check", "all", "q4.json", "missing.json"], 2),
+    "argparse": (["check", "no-such-predicate", "q4.json", "p4.json"], SystemExit),
+    "exception": (["check", "all", "q4.json", "p4.json"], RuntimeError),
+}
+
+
+@pytest.fixture(params=[True, False], ids=["on", "off"])
+def collecting(request):
+    """The cyclic collector on or off during the test; the suite's state after it."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+class TestCollector:
+    """A command runs with the cyclic collector off and gives the caller its state back."""
+
+    def test_off_while_reading_and_writing(self, files, capsys, monkeypatch, collecting):
+        seen = []
+
+        def probe(fn):
+            def recording(*args):
+                seen.append((fn.__name__, gc.isenabled()))
+                return fn(*args)
+            return recording
+
+        monkeypatch.setattr(cli, "load_json", probe(cli.load_json))
+        monkeypatch.setattr(cli, "dump_json", probe(cli.dump_json))
+        assert run(["check", "all", str(files / "q4.json"), str(files / "p4.json")],
+                   capsys)[0] == 0
+        assert run(["coarse-grain", str(files / "p4.json"), "0,2|1,3"], capsys)[0] == 0
+        assert seen == [("load_json", False), ("load_json", False), ("dump_json", False),
+                        ("load_json", False), ("dump_json", False)]
+
+    @pytest.mark.parametrize("exit_kind", list(EXITS))
+    def test_caller_state_is_restored(self, files, monkeypatch, exit_kind, collecting):
+        argv, outcome = EXITS[exit_kind]
+        argv = [str(files / a) if a.endswith(".json") else a for a in argv]
+        if outcome is RuntimeError:
+            def failing_step(path):
+                raise RuntimeError("a failing step")
+            monkeypatch.setattr(cli, "load_json", failing_step)
+        if isinstance(outcome, int):
+            assert main(argv) == outcome
+        else:
+            with pytest.raises(outcome):
+                main(argv)
+        assert gc.isenabled() is collecting
+
+
 class TestToleranceResolution:
     def test_env_variable_applies(self, files, capsys, monkeypatch):
         args = ["check", "condition1", str(files / "ex6.qprime.json"),
@@ -840,6 +897,28 @@ def test_cli_import_leaves_the_fixture_table_unbuilt(tmp_path):
         Observable.__init__ = counting_init
         import mubkit.paper_suite
         assert built == [], built
+    """)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          cwd=tmp_path, env=_subprocess_env())
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_leaves_the_oracle_unloaded(tmp_path):
+    # no command but paper-suite calls the reference implementations, so neither
+    # they nor numpy.random load with the CLI; the package's names still resolve
+    script = textwrap.dedent("""
+        import sys
+        import mubkit.cli
+        loaded = {"mubkit.oracle", "numpy.random"} & sys.modules.keys()
+        assert not loaded, loaded
+        import mubkit
+        missing = set(mubkit.__all__) - set(dir(mubkit))
+        assert not missing, missing
+        for name in mubkit.__all__:
+            getattr(mubkit, name)
+        from mubkit import random_unitary
+        import mubkit.oracle
+        assert random_unitary is mubkit.random_unitary is mubkit.oracle.random_unitary
     """)
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           cwd=tmp_path, env=_subprocess_env())
